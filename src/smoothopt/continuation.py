@@ -9,7 +9,8 @@ extrapolates through the last two stage minimizers (the valley direction):
 
 Each stage's multi-step SGD run *is* the local descent of the classical
 ravine method.  Stages are sequential by definition; independent restarts
-parallelize freely.
+run in lockstep, one stacked objective call per SGD iteration for all of
+them (see :func:`smoothopt.optimizer.sgd_run`).
 """
 from __future__ import annotations
 
@@ -96,7 +97,8 @@ class StageResult:
 
     ``returned_point`` (the stage's step-weighted average) is what the next
     stage's ravine start extrapolates through.  ``best_so_far`` is the running
-    minimum over probe evaluations of this and all earlier stages.
+    minimum over probe evaluations of this and all earlier stages.  In a
+    lockstep result, points and values carry a leading run axis.
     """
 
     index: int
@@ -104,16 +106,33 @@ class StageResult:
     start: np.ndarray
     record: RunRecord
     returned_point: np.ndarray
-    best_value: float
-    best_so_far: float
+    best_value: float | np.ndarray
+    best_so_far: float | np.ndarray
+
+    def run(self, s: int) -> "StageResult":
+        """This stage of run ``s`` of a lockstep batch."""
+        return StageResult(index=self.index, h=self.h, start=self.start[s],
+                           record=self.record.run(s),
+                           returned_point=self.returned_point[s],
+                           best_value=float(self.best_value[s]),
+                           best_so_far=float(self.best_so_far[s]))
 
 
 @dataclass
 class ContinuationResult:
+    """Outcome of the outer loop; a lockstep result has a leading run axis."""
+
     best_point: np.ndarray
-    best_value: float
+    best_value: float | np.ndarray
     stages: list[StageResult]
     evaluations: int
+
+    def run(self, s: int) -> "ContinuationResult":
+        """Result of run ``s`` of a lockstep batch."""
+        return ContinuationResult(best_point=self.best_point[s],
+                                  best_value=float(self.best_value[s]),
+                                  stages=[stage.run(s) for stage in self.stages],
+                                  evaluations=self.evaluations)
 
 
 def ravine_start(x_prev, x_curr, beta: float, X: FeasibleSet) -> np.ndarray:
@@ -134,14 +153,22 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
     extrapolation is possible with a single minimizer); stage ``s >= 2`` from
     the ravine extrapolation of the two previous returned points.  The result
     reports the best penalized value over all stages' probe evaluations.
+
+    ``x0`` of shape ``(S, n)`` runs S restarts in lockstep, with ``rng`` a
+    sequence of S seeds or generators, one per restart; the result then has a
+    leading run axis (see :meth:`ContinuationResult.run`).  ``evaluations``
+    counts per run.
     """
     variant = kernel.variant if isinstance(kernel, Kernel) else str(kernel)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)
+    single = x0.ndim == 1
+    if single:
+        x0, rng = x0[None], (rng,)
+    gens = [r if isinstance(r, np.random.Generator) else np.random.default_rng(r) for r in rng]
 
     stages: list[StageResult] = []
     returned: list[np.ndarray] = []
-    best_value = np.inf
+    best_value = np.full(len(x0), np.inf)
     best_point = x0.copy()
     evaluations = 0
 
@@ -154,14 +181,14 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
             start = ravine_start(returned[s - 2], returned[s - 1], plan.ravine_beta, X)
         try:
             record = sgd_run(F, X, start, plan.schedule(s), variant,
-                             plan.batch_size, plan.iterations, gen,
+                             plan.batch_size, plan.iterations, gens,
                              vectorized=vectorized, record_trajectory=record_trajectory)
         except EvaluationError as err:
             raise err.with_context(stage=s) from None
         evaluations += record.evaluations
-        if record.best_value < best_value:
-            best_value = record.best_value
-            best_point = record.best_point.copy()
+        better = record.best_value < best_value
+        best_value = np.where(better, record.best_value, best_value)
+        best_point[better] = record.best_point[better]
         returned.append(record.weighted_average)
         stages.append(StageResult(
             index=s,
@@ -173,8 +200,9 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
             best_so_far=best_value,
         ))
 
-    return ContinuationResult(best_point=best_point, best_value=best_value,
-                              stages=stages, evaluations=evaluations)
+    result = ContinuationResult(best_point=best_point, best_value=best_value,
+                                stages=stages, evaluations=evaluations)
+    return result.run(0) if single else result
 
 
 def default_plan(X: FeasibleSet, *, iterations: int, batch_size: int,

@@ -9,8 +9,9 @@ Subcommands::
 
 Exit codes: 0 success; 1 a validation check failed; 2 invalid configuration
 or arguments; 3 an objective evaluation failed (non-finite value), with the
-stage and iteration in the message.  ``SMOOTHOPT_THREADS`` caps the worker
-pool used for independent runs.
+seed, stage and iteration in the message.  ``run`` and ``bench`` execute all
+seeds of a config in lockstep on one thread, one stacked objective call per
+SGD iteration.
 """
 from __future__ import annotations
 

@@ -144,6 +144,12 @@ class _Checker:
             self.fail(path, f"must be at least {minimum}, got {value!r}")
         return int(value) if integer else float(value)
 
+    def boolean(self, path: str, *, default: bool) -> bool:
+        value = self.get(path, default=default)
+        if not isinstance(value, bool):
+            self.fail(path, f"expected true or false, got {value!r}")
+        return value
+
 
 def parse_config(data: dict, *, lines: dict[str, int] | None = None,
                  filename: str | None = None) -> RunConfig:
@@ -204,9 +210,13 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         if not 0 < plan["decay"] < 1:
             c.fail("plan.decay", f"decay must lie in (0, 1), got {plan['decay']!r}")
         plan["beta"] = c.number("plan.beta", default=1.0, minimum=0.0)
-        plan.setdefault("couple_widths", False)
+        plan["couple_widths"] = c.boolean("plan.couple_widths", default=False)
         step = plan.get("step", {"kind": "sphere-decaying"})
         plan["step"] = _check_step(c, "plan.step", step, _PLAN_STEP_KINDS)
+        if plan["couple_widths"] and plan["step"]["kind"] in ("constant", "constant-scaled"):
+            c.fail("plan.couple_widths",
+                   f"coupled widths h_t = L * rho_t / K need a step rule with L and K; "
+                   f"{plan['step']['kind']!r} has neither")
 
     if schedule is not None:
         schedule = dict(schedule)
@@ -244,7 +254,7 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         constraint = dict(constraint, penalty=dict(pen))
 
     start = c.get("start", default="auto")
-    record_trajectory = bool(c.get("record_trajectory", default=False))
+    record_trajectory = c.boolean("record_trajectory", default=False)
 
     return RunConfig(
         problem_name=name,

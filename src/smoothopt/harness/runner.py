@@ -1,14 +1,15 @@
 """Benchmark runner: executes a config over its seed list and serializes results.
 
-Each seed owns an independent random substream derived from its seed alone,
-so results are bit-identical regardless of how many workers execute the pool
-(``SMOOTHOPT_THREADS`` caps the worker count).  The summary CSV is written
-once by a single writer after all runs finish, with full round-trip float
-precision; per-run records are self-describing JSON documents written
-atomically.
+Each seed owns an independent random substream derived from its seed alone.
+All seeds of a config run in lockstep on the calling thread, one stacked
+objective call per SGD iteration for all of them, and each seed's results
+are bit-identical to a run of that seed alone.  The summary CSV is written
+once after all runs finish, with full round-trip float precision; per-run
+records are self-describing JSON documents written atomically.
 
-Wall-clock times live in the per-run records only: the summary CSV must
-reproduce bit-for-bit across re-runs with identical seeds.
+Wall-clock times live in the per-run records only, and are those of the
+lockstep batch, shared by its seeds: the summary CSV must reproduce
+bit-for-bit across re-runs with identical seeds.
 """
 from __future__ import annotations
 
@@ -17,15 +18,16 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from ..continuation import SmoothingPlan, geometric_widths, successive_smoothing
+from ..continuation import (ContinuationResult, SmoothingPlan, StageResult,
+                            geometric_widths, successive_smoothing)
 from ..optimizer import Schedule, StepRule, WidthRule, estimate_lipschitz, sgd_run
 from ..penalty import Ball, Box, FeasibleSet, PenaltySpec, penalized_function
 from ..problems import ProblemInstance, make_problem
+from ..smoothing import EvaluationError
 from .config import RunConfig
 
 __all__ = ["RunOutcome", "execute_config", "build_problem", "resolve_plan",
@@ -47,10 +49,8 @@ class RunOutcome:
 
 
 def worker_count(n_runs: int) -> int:
-    env = os.environ.get("SMOOTHOPT_THREADS")
-    if env:
-        return max(1, min(int(env), n_runs))
-    return max(1, min(os.cpu_count() or 1, n_runs))
+    """Threads that execute a config's runs: 1, since its seeds run in lockstep."""
+    return 1
 
 
 def _fmt(value) -> str:
@@ -147,7 +147,7 @@ def resolve_plan(cfg: RunConfig, problem: ProblemInstance) -> SmoothingPlan:
         for h in widths)
     return SmoothingPlan(widths=widths, steps=steps, iterations=cfg.iterations,
                          batch_size=cfg.batch_size, ravine_beta=float(cfg.plan["beta"]),
-                         couple_widths=bool(cfg.plan["couple_widths"]))
+                         couple_widths=cfg.plan["couple_widths"])
 
 
 def resolve_schedule(cfg: RunConfig, problem: ProblemInstance) -> Schedule:
@@ -165,86 +165,87 @@ def resolve_schedule(cfg: RunConfig, problem: ProblemInstance) -> Schedule:
     return Schedule(step=step, width=width)
 
 
-def _run_one(cfg: RunConfig, problem: ProblemInstance, seed: int,
-             plan: SmoothingPlan | None, schedule: Schedule | None) -> RunOutcome:
-    root = np.random.SeedSequence(seed)
-    start_ss, opt_ss = root.spawn(2)
-    if isinstance(cfg.start, str) and cfg.start == "auto":
-        x0 = problem.sample_start(np.random.default_rng(start_ss))
-    else:
-        x0 = np.asarray(cfg.start, dtype=float)
+def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan | None,
+               schedule: Schedule | None) -> list[RunOutcome]:
+    """Run every seed of the config in one lockstep batch, in seed order."""
+    starts, gens = [], []
+    for seed in cfg.seeds:
+        start_ss, opt_ss = np.random.SeedSequence(seed).spawn(2)
+        if isinstance(cfg.start, str) and cfg.start == "auto":
+            starts.append(problem.sample_start(np.random.default_rng(start_ss)))
+        else:
+            starts.append(np.asarray(cfg.start, dtype=float))
+        gens.append(np.random.default_rng(opt_ss))
+    x0 = np.array(starts)
     vectorized = problem.objective_batch is not None
     F = problem.objective_batch if vectorized else problem.objective
-    rng = np.random.default_rng(opt_ss)
     t0 = time.perf_counter()
 
-    if plan is not None:
-        result = successive_smoothing(F, problem.domain, plan, cfg.kernel, x0, rng,
-                                      vectorized=vectorized,
-                                      record_trajectory=cfg.record_trajectory)
-        stages = [{
-            "index": s.index, "h": s.h,
-            "start": s.start.tolist(),
-            "returned_point": s.returned_point.tolist(),
-            "best_value": s.best_value,
-            "best_so_far": s.best_so_far,
-            "wall_time": s.record.wall_time,
-        } for s in result.stages]
-        best_point, best_value = result.best_point, result.best_value
-        final_avg = result.stages[-1].returned_point
-        evaluations = result.evaluations
-        n_stages = len(result.stages)
-    else:
-        record = sgd_run(F, problem.domain, x0, schedule, cfg.kernel, cfg.batch_size,
-                         cfg.iterations, rng, vectorized=vectorized,
-                         record_trajectory=cfg.record_trajectory)
-        h = schedule.width.h if schedule.width.kind == "fixed" else None
-        stages = [{
-            "index": 0, "h": h,
-            "start": x0.tolist(),
-            "returned_point": record.weighted_average.tolist(),
-            "best_value": record.best_value,
-            "best_so_far": record.best_value,
-            "wall_time": record.wall_time,
-        }]
-        best_point, best_value = record.best_point, record.best_value
-        final_avg = record.weighted_average
-        evaluations = record.evaluations
-        n_stages = 1
+    try:
+        if plan is not None:
+            result = successive_smoothing(F, problem.domain, plan, cfg.kernel, x0, gens,
+                                          vectorized=vectorized,
+                                          record_trajectory=cfg.record_trajectory)
+        else:
+            record = sgd_run(F, problem.domain, x0, schedule, cfg.kernel, cfg.batch_size,
+                             cfg.iterations, gens, vectorized=vectorized,
+                             record_trajectory=cfg.record_trajectory)
+            h = schedule.width.h if schedule.width.kind == "fixed" else None
+            stage = StageResult(index=0, h=h, start=x0, record=record,
+                                returned_point=record.weighted_average,
+                                best_value=record.best_value, best_so_far=record.best_value)
+            result = ContinuationResult(best_point=record.best_point,
+                                        best_value=record.best_value,
+                                        stages=[stage], evaluations=record.evaluations)
+    except EvaluationError as err:
+        raise err.with_context(seed=cfg.seeds[err.run]) from None
 
-    # one extra diagnostic evaluation, on top of the 2*K*T*stages accounting
-    avg_value = float(problem.objective(final_avg))
+    runs = [result.run(s) for s in range(len(cfg.seeds))]
+    # one extra diagnostic evaluation per seed, on top of the 2*K*T*stages accounting
+    avg_values = [float(problem.objective(run.stages[-1].returned_point)) for run in runs]
     wall = time.perf_counter() - t0
 
     label_n = dict(problem.parameters).get("n", problem.dimension)
-    row = {
-        "problem": problem.name,
-        "n": label_n,
-        "seed": seed,
-        "stages": n_stages,
-        "iterations_per_stage": cfg.iterations,
-        "total_iterations": cfg.iterations * n_stages,
-        "batch_size": cfg.batch_size,
-        "Func. calc.": evaluations,
-        "Max. achived": problem.report(best_value),
-        "value_at_weighted_average": problem.report(avg_value),
-        "Ideal value": problem.ideal_value,
-    }
-    record_doc = {
-        "format": "smoothopt-run/1",
-        "config": cfg.raw,
-        "seed": seed,
-        "start": x0.tolist(),
-        "stages": stages,
-        "best_point": np.asarray(best_point).tolist(),
-        "best_value": best_value,
-        "reported_best": problem.report(best_value),
-        "value_at_weighted_average": problem.report(avg_value),
-        "evaluations": evaluations,
-        "diagnostic_evaluations": 1,
-        "wall_time": wall,
-    }
-    return RunOutcome(seed=seed, row=row, record=record_doc)
+    outcomes = []
+    for seed, x_start, run, avg_value in zip(cfg.seeds, x0, runs, avg_values):
+        n_stages = len(run.stages)
+        row = {
+            "problem": problem.name,
+            "n": label_n,
+            "seed": seed,
+            "stages": n_stages,
+            "iterations_per_stage": cfg.iterations,
+            "total_iterations": cfg.iterations * n_stages,
+            "batch_size": cfg.batch_size,
+            "Func. calc.": run.evaluations,
+            "Max. achived": problem.report(run.best_value),
+            "value_at_weighted_average": problem.report(avg_value),
+            "Ideal value": problem.ideal_value,
+        }
+        stages = [{
+            "index": st.index, "h": st.h,
+            "start": st.start.tolist(),
+            "returned_point": st.returned_point.tolist(),
+            "best_value": st.best_value,
+            "best_so_far": st.best_so_far,
+            "wall_time": st.record.wall_time,
+        } for st in run.stages]
+        record_doc = {
+            "format": "smoothopt-run/1",
+            "config": cfg.raw,
+            "seed": seed,
+            "start": x_start.tolist(),
+            "stages": stages,
+            "best_point": run.best_point.tolist(),
+            "best_value": run.best_value,
+            "reported_best": problem.report(run.best_value),
+            "value_at_weighted_average": problem.report(avg_value),
+            "evaluations": run.evaluations,
+            "diagnostic_evaluations": 1,
+            "wall_time": wall,
+        }
+        outcomes.append(RunOutcome(seed=seed, row=row, record=record_doc))
+    return outcomes
 
 
 def _write_atomic(path: Path, text: str):
@@ -259,17 +260,7 @@ def execute_config(cfg: RunConfig) -> tuple[Path, list[RunOutcome]]:
     plan = resolve_plan(cfg, problem) if cfg.plan is not None else None
     schedule = resolve_schedule(cfg, problem) if cfg.schedule is not None else None
 
-    outcomes: list[RunOutcome] = []
-    workers = worker_count(len(cfg.seeds))
-    if workers == 1:
-        for seed in cfg.seeds:
-            outcomes.append(_run_one(cfg, problem, seed, plan, schedule))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, cfg, problem, seed, plan, schedule)
-                       for seed in cfg.seeds]
-            outcomes = [f.result() for f in futures]
-    outcomes.sort(key=lambda o: o.seed)
+    outcomes = sorted(_run_seeds(cfg, problem, plan, schedule), key=lambda o: o.seed)
 
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)

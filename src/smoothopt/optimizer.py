@@ -11,9 +11,10 @@ Step-size and smoothing-width rules follow the known convergence guarantees
 for convex Lipschitz objectives; :func:`rate_bound` evaluates the matching
 right-hand sides so empirical rates can be checked against them.
 
-A run is inherently sequential in ``t``; the ``K`` probes within an iteration
-may be evaluated concurrently (directions are pre-drawn), and independent
-seeds parallelize freely.
+A run is inherently sequential in ``t``, but independent runs are not:
+:func:`sgd_run` advances S runs in lockstep, with one stacked objective call
+of ``S * 2K`` probes per iteration.  Each run draws from its own generator,
+so a run in a lockstep batch reproduces the same run alone bit for bit.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .penalty import FeasibleSet
-from .smoothing import EvaluationError, Kernel, _two_point_batch
+from .smoothing import EvaluationError, Kernel, _evaluate, _two_point_batch
 
 __all__ = [
     "StepRule",
@@ -216,13 +217,19 @@ def rate_bound(which: str, *, D: float, L: float, n: int, K: int, C: float = 1.0
 
 @dataclass
 class RunRecord:
-    """Reproducible summary of one SGD run.
+    """Reproducible summary of one SGD run, or of S runs in lockstep.
 
     ``best_point``/``best_value`` track the minimum over all probe evaluations
     already paid for by the estimator (no extra objective calls).  The best
     value need not dominate the value at either average; averaging and best
     tracking answer different questions.  ``trajectory`` holds the visited
     iterates ``x_1..x_T`` when requested.
+
+    A lockstep record gives every point a leading run axis (``(S, n)``; the
+    trajectory is ``(T, S, n)``), one best value and one seed per run;
+    :meth:`run` extracts run ``s``.  ``evaluations`` and ``iterations`` count
+    per run.  ``wall_time`` is the time of the whole lockstep batch, which all
+    its runs share.
     """
 
     x_first: np.ndarray
@@ -230,12 +237,28 @@ class RunRecord:
     plain_average: np.ndarray
     weighted_average: np.ndarray
     best_point: np.ndarray
-    best_value: float
+    best_value: float | np.ndarray
     evaluations: int
     iterations: int
-    seed: int | None
+    seed: int | None | tuple
     wall_time: float
     trajectory: np.ndarray | None = None
+
+    def run(self, s: int) -> "RunRecord":
+        """Record of run ``s`` of a lockstep batch."""
+        return RunRecord(
+            x_first=self.x_first[s],
+            x_last=self.x_last[s],
+            plain_average=self.plain_average[s],
+            weighted_average=self.weighted_average[s],
+            best_point=self.best_point[s],
+            best_value=float(self.best_value[s]),
+            evaluations=self.evaluations,
+            iterations=self.iterations,
+            seed=self.seed[s],
+            wall_time=self.wall_time,
+            trajectory=None if self.trajectory is None else self.trajectory[:, s],
+        )
 
 
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
@@ -255,26 +278,39 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
     ``mean(x_1..x_T)``, the step-weighted average ``sum(rho_t x_t)/sum(rho_t)``
     and the best probe seen.  Exactly ``2*K*T`` objective evaluations are
     performed, and identical seeds reproduce the record bit for bit.
+
+    ``x1`` of shape ``(S, n)`` starts S runs, with ``rng`` a sequence of S
+    seeds or generators, one per run; they advance in lockstep and the result
+    is a lockstep record (see :class:`RunRecord`).  Each iteration draws the
+    runs' directions in run order, each from its own generator, and evaluates
+    all ``S * 2K`` probes in one call.  A run's record equals that of the same
+    run alone, bit for bit, when ``F`` and ``X.project`` treat rows
+    independently.  A start ``(n,)`` is the case S = 1.
     """
     if T < 1:
         raise ValueError("iteration count T must be at least 1")
     if K < 1:
         raise ValueError("batch size K must be at least 1")
-    x = np.asarray(x1, dtype=float).copy()
-    if not np.all(np.isfinite(x)) or X.distance(x) > ITERATE_TOL:
+    x = np.array(x1, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x, rng = x[None], (rng,)
+    elif x.ndim != 2 or not isinstance(rng, (list, tuple, np.ndarray)) or len(rng) != len(x):
+        raise ValueError("need starts of shape (n,), or (S, n) with one rng per start")
+    if not np.all(np.isfinite(x)) or np.any(X.distance(x) > ITERATE_TOL):
         raise ValueError("starting point x1 must lie in the projection set X")
     variant = kernel.variant if isinstance(kernel, Kernel) else str(kernel)
-    gen, seed = _as_rng(rng)
+    gens, seeds = zip(*map(_as_rng, rng))
 
     start = time.perf_counter()
-    dim = x.size
-    sum_x = np.zeros(dim)
-    sum_rho_x = np.zeros(dim)
+    S, dim = x.shape
+    sum_x = np.zeros((S, dim))
+    sum_rho_x = np.zeros((S, dim))
     sum_rho = 0.0
-    best_value = np.inf
+    best_value = np.full(S, np.inf)
     best_point = x.copy()
     x_first = x.copy()
-    traj = np.empty((T, dim)) if record_trajectory else None
+    traj = np.empty((T, S, dim)) if record_trajectory else None
 
     for t in range(1, T + 1):
         rho, h = schedule.values(t)
@@ -284,24 +320,23 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
         sum_rho_x += rho * x
         sum_rho += rho
         kern = Kernel(variant, h)
+        Y = np.array([kern.sample_directions(dim, K, g) for g in gens])
         try:
-            Y, plus, minus, f_plus, f_minus = _two_point_batch(F, x, kern, K, gen, vectorized)
+            P, f = _two_point_batch(F, x, h, Y, vectorized)
         except EvaluationError as err:
             raise err.with_context(iteration=t) from None
-        # best-point tracking reuses the probe evaluations already performed
-        i_p = int(np.argmin(f_plus))
-        if f_plus[i_p] < best_value:
-            best_value = float(f_plus[i_p])
-            best_point = plus[i_p].copy()
-        i_m = int(np.argmin(f_minus))
-        if f_minus[i_m] < best_value:
-            best_value = float(f_minus[i_m])
-            best_point = minus[i_m].copy()
-        quotients = (f_plus - f_minus) / (2.0 * h)
-        eta = (quotients[:, None] * Y).mean(axis=0)
+        # best-point tracking reuses the probe evaluations already performed;
+        # argmin takes the first minimum, so plus probes win ties over minus
+        value = f.min(axis=1)
+        better = value < best_value
+        if better.any():
+            best_value[better] = value[better]
+            best_point[better] = P[better, f[better].argmin(axis=1)]
+        quotients = (f[:, :K] - f[:, K:]) / (2.0 * h)
+        eta = (quotients[:, :, None] * Y).sum(axis=1) / K
         x = X.project(x - rho * eta)
 
-    return RunRecord(
+    record = RunRecord(
         x_first=x_first,
         x_last=x,
         plain_average=sum_x / T,
@@ -310,10 +345,11 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
         best_value=best_value,
         evaluations=2 * K * T,
         iterations=T,
-        seed=seed,
+        seed=seeds,
         wall_time=time.perf_counter() - start,
         trajectory=traj,
     )
+    return record.run(0) if single else record
 
 
 def estimate_lipschitz(F: Callable, region: FeasibleSet, scale: float,
@@ -324,23 +360,16 @@ def estimate_lipschitz(F: Callable, region: FeasibleSet, scale: float,
     Draws `samples` base points in `region` and sphere directions, takes the
     largest quotient ``|F(x + scale*y) - F(x - scale*y)| / (2*scale)`` and
     multiplies by `safety`.  An estimate at the smoothing scale of interest is
-    what the step-size rules need.
+    what the step-size rules need.  All plus points, then all minus points,
+    go to ``F`` in one stacked call; a non-finite value raises
+    :class:`EvaluationError` naming the point that produced it.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
     gen, _ = _as_rng(rng)
     pts = region.sample(samples, gen)
     dirs = Kernel.sphere(scale).sample_directions(pts.shape[1], samples, gen)
-    plus = pts + scale * dirs
-    minus = pts - scale * dirs
-    if vectorized:
-        vals_p = np.asarray(F(plus), dtype=float)
-        vals_m = np.asarray(F(minus), dtype=float)
-    else:
-        vals_p = np.array([float(F(p)) for p in plus])
-        vals_m = np.array([float(F(p)) for p in minus])
-    quotients = np.abs(vals_p - vals_m) / (2.0 * scale)
-    if not np.all(np.isfinite(quotients)):
-        i = int(np.argmax(~np.isfinite(quotients)))
-        raise EvaluationError(plus[i], vals_p[i])
+    step = scale * dirs
+    vals = _evaluate(F, np.concatenate([pts + step, pts - step]), vectorized)
+    quotients = np.abs(vals[:samples] - vals[samples:]) / (2.0 * scale)
     return safety * float(quotients.max())

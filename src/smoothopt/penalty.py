@@ -151,12 +151,9 @@ class Ball(FeasibleSet):
         x = _as_point(x)
         d = x - self.center
         norm = np.linalg.norm(d, axis=-1, keepdims=True)
-        scale = np.where(norm > self.radius, self.radius / np.where(norm == 0, 1.0, norm), 1.0)
-        out = self.center + d * scale
-        # keep interior points bit-identical
-        if x.ndim == 1 and norm.item() <= self.radius:
-            return x.copy()
-        return out
+        outside = self.center + d * (self.radius / np.where(norm == 0, 1.0, norm))
+        # keep interior points bit-identical, one point or many
+        return np.where(norm <= self.radius, x, outside)
 
     def distance(self, x):
         x = _as_point(x)

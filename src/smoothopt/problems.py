@@ -134,7 +134,12 @@ class PolygonProblem:
         span = theta[:, self._pair_j] - theta[:, self._pair_i]
         sq = ri ** 2 + rj ** 2 - 2.0 * ri * rj * np.cos(span)
         dist = np.sqrt(np.maximum(sq, 0.0))
-        f2 = f1 - self.p2 * np.maximum(0.0, dist - 1.0).sum(axis=1)
+        # Sum the violations left to right whatever the row count, so a row's
+        # value does not depend on its batch: the fancy indexing above lays the
+        # pair arrays out column-major, and ``sum(axis=1)`` would accumulate
+        # across columns for two rows or more but sum one row pairwise.
+        violation = np.cumsum(np.maximum(0.0, dist - 1.0), axis=1)[:, -1]
+        f2 = f1 - self.p2 * violation
 
         retraction = np.linalg.norm(r - r_hat, axis=1) + np.linalg.norm(phi - phi_hat, axis=1)
         return f2 - self.p3 * retraction

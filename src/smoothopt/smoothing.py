@@ -15,10 +15,11 @@ Only the symmetric (central) difference is implemented; it has lower variance
 than the one-sided form and matches the step-size theory in
 :mod:`smoothopt.optimizer`.
 
-Batch samples are independent, so probe evaluations may run concurrently:
-directions are drawn centrally before any evaluation, hence results do not
-depend on how the probes are scheduled.  Objectives must tolerate concurrent
-calls if the caller parallelizes them.
+Two-point samples are independent across directions and across runs, so
+all probes of an iteration go to the objective in one stacked call: each
+run's ``K`` plus probes, then its ``K`` minus probes, runs in order.  The
+directions are drawn before that call, one generator per run, so a run's
+draws and values do not depend on which other runs share the call.
 """
 from __future__ import annotations
 
@@ -46,30 +47,38 @@ class EvaluationError(RuntimeError):
 
     Samples are never silently dropped -- that would bias the estimator -- so
     the first bad value aborts the whole estimate.  ``point`` and ``value``
-    identify the offending probe; ``iteration`` and ``stage`` are filled in by
-    the optimizer and continuation layers as the error propagates.
+    identify the offending probe; ``run`` is its run's index in a lockstep
+    batch of runs.  ``iteration``, ``stage`` and ``seed`` are filled in by the
+    optimizer, continuation and runner layers as the error propagates.
     """
 
-    def __init__(self, point, value, iteration=None, stage=None):
+    def __init__(self, point, value, iteration=None, stage=None, run=None, seed=None):
         self.point = np.asarray(point, dtype=float)
         self.value = value
         self.iteration = iteration
         self.stage = stage
+        self.run = run
+        self.seed = seed
         super().__init__(self._message())
 
     def _message(self):
         msg = f"objective returned non-finite value {self.value!r} at {self.point!r}"
+        if self.seed is not None:
+            msg += f" (seed {self.seed})"
+        elif self.run is not None:
+            msg += f" (run {self.run})"
         if self.iteration is not None:
             msg += f" (iteration {self.iteration})"
         if self.stage is not None:
             msg += f" (stage {self.stage})"
         return msg
 
-    def with_context(self, iteration=None, stage=None) -> "EvaluationError":
-        err = EvaluationError(self.point, self.value,
-                              iteration if iteration is not None else self.iteration,
-                              stage if stage is not None else self.stage)
-        return err
+    def with_context(self, iteration=None, stage=None, seed=None) -> "EvaluationError":
+        return EvaluationError(self.point, self.value,
+                               iteration if iteration is not None else self.iteration,
+                               stage if stage is not None else self.stage,
+                               self.run,
+                               seed if seed is not None else self.seed)
 
 
 @dataclass(frozen=True)
@@ -153,29 +162,38 @@ def sample_direction(kernel: Kernel, dimension: int, rng: np.random.Generator) -
 
 
 def _evaluate(F: Callable, points: np.ndarray, vectorized: bool) -> np.ndarray:
-    """Evaluate ``F`` at stacked points, guarding against non-finite output."""
+    """Evaluate ``F`` at points stacked along the leading axes, guarding against non-finite output.
+
+    ``F`` receives the points in C order, as one ``(m, n)`` array when
+    `vectorized` and one row at a time otherwise; the values come back in the
+    leading shape.  In a ``(S, m, n)`` stack the leading axis is the run, and
+    the error for a bad value names its run.
+    """
+    flat = points.reshape(-1, points.shape[-1])
     if vectorized:
-        vals = np.asarray(F(points), dtype=float)
+        vals = np.asarray(F(flat), dtype=float)
     else:
-        vals = np.array([float(F(p)) for p in points], dtype=float)
-    if vals.shape != (points.shape[0],):
-        raise ValueError(f"objective returned shape {vals.shape}, expected ({points.shape[0]},)")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise EvaluationError(points[i], vals[i])
-    return vals
+        vals = np.array([float(F(p)) for p in flat], dtype=float)
+    if vals.shape != (flat.shape[0],):
+        raise ValueError(f"objective returned shape {vals.shape}, expected ({flat.shape[0]},)")
+    if not np.isfinite(vals).all():
+        i = int(np.argmax(~np.isfinite(vals)))
+        run = i // points.shape[1] if points.ndim == 3 else None
+        raise EvaluationError(flat[i], vals[i], run=run)
+    return vals.reshape(points.shape[:-1])
 
 
-def _two_point_batch(F, x, kernel, K, rng, vectorized):
-    """Shared sampling core: directions plus the two probe batches."""
-    x = np.asarray(x, dtype=float)
-    Y = kernel.sample_directions(x.size, K, rng)
-    plus = x + kernel.h * Y
-    minus = x - kernel.h * Y
-    f_plus = _evaluate(F, plus, vectorized)
-    f_minus = _evaluate(F, minus, vectorized)
-    return Y, plus, minus, f_plus, f_minus
+def _two_point_batch(F, x, h, Y, vectorized):
+    """Probe S runs at ``x_s +- h*y`` for their directions in one stacked call.
+
+    ``x`` holds the runs' points ``(S, n)`` and ``Y`` their directions
+    ``(S, K, n)``.  Returns the probes ``(S, 2K, n)``, each run's ``K`` plus
+    probes before its ``K`` minus probes, and their values ``(S, 2K)``.
+    """
+    hY = h * Y
+    x = x[:, None, :]
+    P = np.concatenate([x + hY, x - hY], axis=1)
+    return P, _evaluate(F, P, vectorized)
 
 
 def grad_estimate(F: Callable, x, kernel: Kernel, K: int, rng: np.random.Generator,
@@ -184,14 +202,15 @@ def grad_estimate(F: Callable, x, kernel: Kernel, K: int, rng: np.random.Generat
 
     Performs exactly ``2 * K`` objective evaluations (the probe points
     ``x +- h*y`` for ``K`` independent directions ``y``).  With `vectorized`
-    the objective receives the probes stacked as an ``(m, n)`` array and must
-    return ``m`` values; the evaluation count is unchanged.
+    the objective receives all probes in one ``(2K, n)`` array, plus probes
+    first, and must return ``2K`` values; the evaluation count is unchanged.
     """
     if K < 1:
         raise ValueError("batch size K must be at least 1")
     x = np.asarray(x, dtype=float)
-    Y, _, _, f_plus, f_minus = _two_point_batch(F, x, kernel, K, rng, vectorized)
-    quotients = (f_plus - f_minus) / (2.0 * kernel.h)
+    Y = kernel.sample_directions(x.size, K, rng)
+    _, f = _two_point_batch(F, x[None], kernel.h, Y[None], vectorized)
+    quotients = (f[0, :K] - f[0, K:]) / (2.0 * kernel.h)
     direction = (quotients[:, None] * Y).mean(axis=0)
     scale = kernel.gradient_scale(x.size)
     return GradientEstimate(direction=direction,
@@ -229,7 +248,8 @@ def second_moment_check(F: Callable, x, kernel: Kernel, K_probe: int, rng: np.ra
     if K_probe < 1:
         raise ValueError("K_probe must be at least 1")
     x = np.asarray(x, dtype=float)
-    Y, _, _, f_plus, f_minus = _two_point_batch(F, x, kernel, K_probe, rng, vectorized)
-    quotients = (f_plus - f_minus) / (2.0 * kernel.h)
+    Y = kernel.sample_directions(x.size, K_probe, rng)
+    _, f = _two_point_batch(F, x[None], kernel.h, Y[None], vectorized)
+    quotients = (f[0, :K_probe] - f[0, K_probe:]) / (2.0 * kernel.h)
     sq_norms = quotients ** 2 * (Y ** 2).sum(axis=1)
     return float(sq_norms.mean())

@@ -145,13 +145,13 @@ class TestSuccessiveSmoothing:
     def test_stage_error_carries_stage_index(self):
         from smoothopt.smoothing import EvaluationError
 
-        calls = 0
+        rows = 0
 
         def f(Z):
-            nonlocal calls
-            calls += 1
+            nonlocal rows
+            rows += len(Z)
             out = np.abs(np.asarray(Z)).sum(axis=-1)
-            if calls > 90:  # fail some way into the second stage
+            if rows > 90:  # fail some way into the second stage
                 out = out * np.nan
             return out
 

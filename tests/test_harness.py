@@ -1,6 +1,10 @@
 import csv
+import hashlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,37 @@ class TestConfigValidation:
     def test_polygon_requires_n(self):
         with pytest.raises(ConfigError):
             parse_config(dict(BASE, problem={"name": "polygon"}))
+
+    @pytest.mark.parametrize("key", ["plan.couple_widths", "record_trajectory"])
+    def test_flags_must_be_booleans(self, key):
+        bad = json.loads(json.dumps(BASE))
+        if key == "record_trajectory":
+            bad[key] = "false"
+        else:
+            bad["plan"]["couple_widths"] = "false"
+        with pytest.raises(ConfigError, match="expected true or false"):
+            parse_config(bad)
+
+    @pytest.mark.parametrize("step", ["{kind: constant, rho: 0.1}",
+                                      "{kind: constant-scaled, alpha: 0.1}"])
+    def test_coupled_widths_need_step_rule_with_L_and_K(self, tmp_path, step):
+        path = write_config(tmp_path, "\n".join([
+            "problem: {name: two-well-1d}",
+            "seeds: [1]",
+            "budget: 10000",
+            "iterations: 40",
+            "plan:",
+            f"  step: {step}",
+            "  couple_widths: true",
+        ]))
+        with pytest.raises(ConfigError, match="coupled widths") as err:
+            load_config(path)
+        assert err.value.line == 7
+        assert f"{path}:7:" in str(err.value)
+
+    def test_coupled_widths_accepted_with_step_rule_with_L_and_K(self):
+        plan = dict(BASE["plan"], couple_widths=True, step={"kind": "sphere-decaying"})
+        assert parse_config(dict(BASE, plan=plan)).plan["couple_widths"] is True
 
     def test_constraint_rejected_for_polygon(self):
         bad = dict(BASE, problem={"name": "polygon", "n": 3},
@@ -173,6 +208,58 @@ class TestExecuteConfig:
         # constrained minimum of |x|_1 over the ball sits near (0.65, 0.65)
         for outcome in outcomes:
             assert outcome.row["Max. achived"] >= 1.2
+
+
+    def test_lockstep_evaluation_error_names_seed(self, tmp_path, monkeypatch):
+        import dataclasses
+        from smoothopt.harness import runner as runner_mod
+        from smoothopt.smoothing import EvaluationError
+
+        real_build = runner_mod.build_problem
+        calls = 0
+
+        def poisoned(cfg):
+            problem = real_build(cfg)
+
+            def batch(Z):
+                nonlocal calls
+                calls += 1
+                out = problem.objective_batch(Z)
+                if calls == 7:  # rows 2 and 3 are the probes of the second seed
+                    out[2] = np.nan
+                return out
+
+            return dataclasses.replace(problem, objective_batch=batch)
+
+        monkeypatch.setattr(runner_mod, "build_problem", poisoned)
+        cfg = parse_config(dict(BASE, seeds=[4, 9, 13], output=str(tmp_path / "out")))
+        with pytest.raises(EvaluationError) as err:
+            execute_config(cfg)
+        assert (err.value.seed, err.value.stage, err.value.iteration) == (9, 0, 7)
+        assert "(seed 9)" in str(err.value)
+
+
+def _perfbench_workloads():
+    """The benchmark's workload definitions, loaded from their file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkReference:
+    @pytest.mark.parametrize("name", ["polygon-n4", "ball-ray"])
+    def test_tiny_workload_reproduces_reference(self, tmp_path, name):
+        W = _perfbench_workloads()
+        reference = W.reference_for(W.load_reference(), name, "tiny", 0)
+        cfg = parse_config(W.WORKLOADS[name].config(0, "tiny", str(tmp_path / name)))
+        csv_path, outcomes = execute_config(cfg)
+        data = csv_path.read_bytes()
+        assert data.decode("utf-8").split("\r\n")[1:-1] == reference["rows"]
+        assert hashlib.sha256(data).hexdigest() == reference["csv_sha256"]
+        assert [o.record["evaluations"] for o in outcomes] == reference["evaluations"]
 
 
 class TestCli:

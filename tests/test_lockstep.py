@@ -1,0 +1,158 @@
+"""Lockstep runs: S runs in one batch reproduce S runs alone, bit for bit."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smoothopt.continuation import SmoothingPlan, successive_smoothing
+from smoothopt.optimizer import Schedule, StepRule, WidthRule, sgd_run
+from smoothopt.penalty import Ball, Box
+from smoothopt.problems import PolygonProblem
+from smoothopt.smoothing import EvaluationError
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def same(a, b) -> bool:
+    """Bit-identical: equal shape and equal bytes (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def problem(n: int, shape: str, vectorized: bool):
+    """A nonsmooth objective whose minimum lies outside the set, so projection acts."""
+    c = np.linspace(-1.4, 1.4, n) if n > 1 else np.array([1.4])
+
+    def batch(Z):
+        return np.abs(np.asarray(Z) - c).sum(axis=-1)
+
+    def scalar(z):
+        return float(np.abs(np.asarray(z) - c).sum())
+
+    X = Box(-np.ones(n), np.ones(n)) if shape == "box" else Ball(np.zeros(n), 1.0)
+    return (batch if vectorized else scalar), X
+
+
+def assert_same_record(a, b):
+    for name in ("x_first", "x_last", "plain_average", "weighted_average", "best_point",
+                 "best_value", "trajectory"):
+        assert same(getattr(a, name), getattr(b, name)), name
+    assert (a.evaluations, a.iterations, a.seed) == (b.evaluations, b.iterations, b.seed)
+
+
+RUNS = dict(S=st.integers(1, 4), n=st.integers(1, 4), K=st.integers(1, 5),
+            kernel=st.sampled_from(["sphere", "gaussian"]),
+            shape=st.sampled_from(["box", "ball"]), vectorized=st.booleans(), seed=SEEDS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RUNS)
+def test_lockstep_sgd_run_equals_single_runs(S, n, K, kernel, shape, vectorized, seed):
+    F, X = problem(n, shape, vectorized)
+    starts = X.sample(S, np.random.default_rng(seed))
+    seeds = [seed + s for s in range(S)]
+    sched = Schedule(StepRule.constant(0.4), WidthRule.fixed(0.3))
+    batch = sgd_run(F, X, starts, sched, kernel, K, 12, seeds,
+                    vectorized=vectorized, record_trajectory=True)
+    assert batch.best_value.shape == (S,)
+    for s in range(S):
+        alone = sgd_run(F, X, starts[s], sched, kernel, K, 12, seeds[s],
+                        vectorized=vectorized, record_trajectory=True)
+        assert_same_record(batch.run(s), alone)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**RUNS)
+def test_lockstep_smoothing_equals_single_runs(S, n, K, kernel, shape, vectorized, seed):
+    F, X = problem(n, shape, vectorized)
+    starts = X.sample(S, np.random.default_rng(seed))
+    widths = (0.8, 0.4, 0.2)
+    plan = SmoothingPlan(widths=widths, steps=tuple(StepRule.constant(0.5 * h) for h in widths),
+                         iterations=6, batch_size=K, ravine_beta=1.5)
+    gens = [np.random.default_rng(seed + s) for s in range(S)]
+    batch = successive_smoothing(F, X, plan, kernel, starts, gens, vectorized=vectorized)
+    for s in range(S):
+        alone = successive_smoothing(F, X, plan, kernel, starts[s], seed + s,
+                                     vectorized=vectorized)
+        mine = batch.run(s)
+        assert same(mine.best_point, alone.best_point)
+        assert same(mine.best_value, alone.best_value)
+        assert mine.evaluations == alone.evaluations
+        for a, b in zip(mine.stages, alone.stages, strict=True):
+            for name in ("start", "returned_point", "best_value", "best_so_far"):
+                assert same(getattr(a, name), getattr(b, name)), name
+            assert_same_record(a.record, b.record)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([3, 4, 20]), rows=st.integers(1, 64), seed=SEEDS)
+def test_polygon_rows_do_not_depend_on_their_batch(n, rows, seed):
+    poly = PolygonProblem(n)
+    rng = np.random.default_rng(seed)
+    lower, upper = poly.projection_set(1.0).bounding_box()
+    Z = poly.embed(rng.uniform(lower, upper, size=(rows, poly.dimension)))
+    whole = poly.penalized_batch(Z)
+    for i in range(rows):
+        assert same(poly.penalized_batch(Z[i:i + 1]), whole[i:i + 1])
+    order = rng.permutation(rows)
+    assert same(poly.penalized_batch(Z[order]), whole[order])
+    cut = int(rng.integers(0, rows + 1))
+    parts = [poly.penalized_batch(Z[order][:cut]), poly.penalized_batch(Z[order][cut:])]
+    assert same(np.concatenate(parts), whole[order])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), rows=st.integers(1, 16), seed=SEEDS)
+def test_ball_projection_rows_match_single_points(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-3.0, 3.0, n)
+    X = Ball(center, float(np.linalg.norm(center)) + rng.uniform(0.1, 1.0))
+    # points near the origin: x - center is inexact, so interior points only
+    # come back bit for bit if they are returned, not rebuilt from the center
+    P = rng.uniform(-1.5, 1.5, size=(rows, n))
+    out = X.project(P)
+    for i in range(rows):
+        assert same(out[i], X.project(P[i]))
+        if np.linalg.norm(P[i] - X.center) <= X.radius:
+            assert same(out[i], P[i])  # interior points come back unchanged
+
+
+@settings(max_examples=40, deadline=None)
+@given(S=st.integers(2, 4), K=st.integers(1, 3), vectorized=st.booleans(), data=st.data())
+def test_lockstep_error_names_run_stage_and_iteration(S, K, vectorized, data):
+    T, stages = 4, 3
+    per_call = S * 2 * K
+    bad = data.draw(st.integers(0, stages * T * per_call - 1), label="bad evaluation")
+    seen = 0
+
+    def batch(Z):
+        nonlocal seen
+        out = np.abs(np.asarray(Z)).sum(axis=-1)
+        lo, seen = seen, seen + len(out)
+        if lo <= bad < seen:
+            out[bad - lo] = np.nan
+        return out
+
+    def scalar(z):
+        return float(batch(np.asarray(z)[None])[0])
+
+    X = Box(-np.ones(2), np.ones(2))
+    widths = (0.5, 0.25, 0.125)
+    plan = SmoothingPlan(widths=widths, steps=(StepRule.constant(0.05),), iterations=T,
+                         batch_size=K)
+    starts = X.sample(S, np.random.default_rng(0))
+    with pytest.raises(EvaluationError) as err:
+        successive_smoothing(batch if vectorized else scalar, X, plan, "sphere", starts,
+                             list(range(S)), vectorized=vectorized)
+    call, row = divmod(bad, per_call)
+    assert err.value.run == row // (2 * K)
+    assert err.value.stage == call // T
+    assert err.value.iteration == call % T + 1
+    assert np.isnan(err.value.value)
+
+
+@pytest.mark.parametrize("rng", [[0, 1], 0, np.random.default_rng(0)])
+def test_lockstep_needs_one_rng_per_start(rng):
+    X = Box(-np.ones(2), np.ones(2))
+    sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
+    with pytest.raises(ValueError, match="one rng per start"):
+        sgd_run(lambda z: 0.0, X, np.zeros((3, 2)), sched, "sphere", 1, 1, rng)

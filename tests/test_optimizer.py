@@ -262,3 +262,32 @@ class TestEstimateLipschitz:
         base = estimate_lipschitz(f, X, scale=0.05, rng=1, vectorized=True, safety=1.0)
         padded = estimate_lipschitz(f, X, scale=0.05, rng=1, vectorized=True)
         assert padded == pytest.approx(1.5 * base)
+
+    def test_error_names_the_non_finite_probe(self):
+        # only the minus probes are bad: the error carries the first of them
+        X = Box(-np.ones(2), np.ones(2))
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return float("nan") if len(seen) > 5 else float(np.abs(x).sum())
+
+        from smoothopt.smoothing import EvaluationError
+        with pytest.raises(EvaluationError) as err:
+            estimate_lipschitz(f, X, scale=0.1, rng=0, samples=5)
+        assert len(seen) == 10  # plus points first, then minus points
+        assert np.isnan(err.value.value)
+        np.testing.assert_array_equal(err.value.point, seen[5])
+
+    def test_equals_separate_plus_and_minus_evaluation(self):
+        from smoothopt.problems import make_problem
+        from smoothopt.smoothing import Kernel
+
+        problem = make_problem("polygon", n=4)
+        X, f, scale = problem.domain, problem.objective_batch, 0.3
+        L = estimate_lipschitz(f, X, scale, rng=2, vectorized=True)
+        gen = np.random.default_rng(2)
+        pts = X.sample(1000, gen)
+        dirs = Kernel.sphere(scale).sample_directions(pts.shape[1], 1000, gen)
+        quotients = np.abs(f(pts + scale * dirs) - f(pts - scale * dirs)) / (2.0 * scale)
+        assert L == 1.5 * float(quotients.max())
