@@ -32,6 +32,7 @@ from .penalty import (
     box_constraints,
     distance,
     penalize,
+    penalized_batch,
     penalized_function,
     project,
     ray_retraction,

@@ -27,9 +27,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
 import yaml
 
-from ..problems import problem_names
+from ..penalty import Ball, Box
+from ..problems import calibration, problem_names
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -37,6 +39,7 @@ _KERNELS = ("sphere", "gaussian")
 _PLAN_STEP_KINDS = ("constant", "constant-scaled", "sphere-decaying", "gaussian-decaying")
 _SCHEDULE_STEP_KINDS = ("constant", "sphere-fixed", "sphere-decaying", "gaussian-fixed",
                         "gaussian-decaying", "gaussian-vanishing")
+_PENALTY_KEYS = ("kind", "M", "anchor")
 
 
 class ConfigError(ValueError):
@@ -116,7 +119,11 @@ class _Checker:
         self.filename = filename
 
     def fail(self, path: str, message: str):
-        raise ConfigError(message, path=path, line=self.lines.get(path),
+        # a missing key has no line of its own: anchor at its nearest parent
+        parent = path
+        while parent not in self.lines and "." in parent:
+            parent = parent.rsplit(".", 1)[0]
+        raise ConfigError(message, path=path, line=self.lines.get(parent),
                           filename=self.filename)
 
     def get(self, path: str, default=None, required=False):
@@ -237,21 +244,7 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
 
     constraint = c.get("constraint")
     if constraint is not None:
-        if name == "polygon":
-            c.fail("constraint", "the polygon problem carries its own penalties")
-        ctype = c.get("constraint.type")
-        if ctype not in ("box", "ball"):
-            c.fail("constraint.type", f"constraint type must be 'box' or 'ball', got {ctype!r}")
-        if ctype == "ball":
-            c.get("constraint.center", required=True)
-            c.number("constraint.radius", required=True, minimum=0.0)
-        else:
-            c.get("constraint.lower", required=True)
-            c.get("constraint.upper", required=True)
-        pen = c.get("constraint.penalty", default={"kind": "distance", "M": 10.0})
-        if pen.get("kind", "distance") not in ("distance", "constraint-sum", "ray-retraction"):
-            c.fail("constraint.penalty.kind", f"unknown penalty kind {pen.get('kind')!r}")
-        constraint = dict(constraint, penalty=dict(pen))
+        constraint = _check_constraint(c, name, constraint)
 
     start = c.get("start", default="auto")
     record_trajectory = c.boolean("record_trajectory", default=False)
@@ -272,6 +265,61 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         record_trajectory=record_trajectory,
         raw=data,
     )
+
+
+def _check_constraint(c: _Checker, name: str, constraint) -> dict:
+    """Validate the constraint set and its penalty, as the runner will build them."""
+    if name == "polygon":
+        c.fail("constraint", "the polygon problem carries its own penalties")
+    if not isinstance(constraint, dict):
+        c.fail("constraint", "constraint must be a mapping")
+    dim = calibration(name, c.number("problem.n", default=1, integer=True, minimum=1)).dimension
+
+    def vector(path):
+        v = c.get(path, required=True)
+        if not (isinstance(v, list) and len(v) == dim and all(
+                isinstance(e, (int, float)) and not isinstance(e, bool) for e in v)):
+            c.fail(path, f"expected a list of {dim} numbers (the problem's dimension), got {v!r}")
+        return np.asarray(v, dtype=float)
+
+    ctype = c.get("constraint.type")
+    if ctype == "ball":
+        center = vector("constraint.center")
+        radius = c.number("constraint.radius", required=True)
+        if not radius > 0:
+            c.fail("constraint.radius", f"radius must be positive, got {radius!r}")
+        feasible = Ball(center, radius)
+    elif ctype == "box":
+        lower, upper = vector("constraint.lower"), vector("constraint.upper")
+        if np.any(lower > upper):
+            c.fail("constraint.upper", "upper bound below the lower bound in some coordinate")
+        feasible = Box(lower, upper)
+    else:
+        c.fail("constraint.type", f"constraint type must be 'box' or 'ball', got {ctype!r}")
+
+    pen = c.get("constraint.penalty", default={"kind": "distance", "M": 10.0})
+    if not isinstance(pen, dict):
+        c.fail("constraint.penalty", "penalty must be a mapping")
+    for key in pen:
+        if key not in _PENALTY_KEYS:
+            c.fail(f"constraint.penalty.{key}",
+                   f"unknown penalty key (known keys: {list(_PENALTY_KEYS)})")
+    kind = pen.get("kind", "distance")
+    if kind == "constraint-sum":
+        c.fail("constraint.penalty.kind",
+               f"constraint-sum needs explicit constraint functions, which a {ctype} "
+               f"constraint has none of; use distance or ray-retraction")
+    if kind not in ("distance", "ray-retraction"):
+        c.fail("constraint.penalty.kind", f"unknown penalty kind {kind!r}")
+    M = c.number("constraint.penalty.M", default=10.0)
+    if not M > 0:
+        c.fail("constraint.penalty.M", f"penalty multiplier M must be positive, got {M!r}")
+    if kind == "ray-retraction":
+        if "anchor" not in pen:
+            c.fail("constraint.penalty", "ray-retraction needs an interior 'anchor' point")
+        if not feasible.contains(vector("constraint.penalty.anchor")):
+            c.fail("constraint.penalty.anchor", "anchor must lie in the constraint set")
+    return dict(constraint, penalty=dict(pen))
 
 
 def _check_step(c: _Checker, path: str, step, allowed) -> dict:

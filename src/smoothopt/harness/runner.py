@@ -25,7 +25,8 @@ import numpy as np
 from ..continuation import (ContinuationResult, SmoothingPlan, StageResult,
                             geometric_widths, successive_smoothing)
 from ..optimizer import Schedule, StepRule, WidthRule, estimate_lipschitz, sgd_run
-from ..penalty import Ball, Box, FeasibleSet, PenaltySpec, penalized_function
+from ..penalty import (Ball, Box, FeasibleSet, PenaltySpec, penalized_batch,
+                       penalized_function)
 from ..problems import ProblemInstance, make_problem
 from ..smoothing import EvaluationError
 from .config import RunConfig
@@ -79,22 +80,12 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
     pen = con["penalty"]
     spec = PenaltySpec(kind=pen.get("kind", "distance"), M=float(pen.get("M", 10.0)),
                        anchor=pen.get("anchor"))
-    base = problem.objective
-    wrapped = penalized_function(base, feasible, spec)
-    batch = None
-    if spec.kind == "distance" and problem.objective_batch is not None:
-        base_batch = problem.objective_batch
-
-        def batch(X, _f=feasible, _b=base_batch, _M=spec.M):
-            X = np.asarray(X, dtype=float)
-            proj = _f.project(X)
-            dist = np.linalg.norm(X - proj, axis=-1)
-            return _b(proj) + _M * dist
-
     domain = feasible.inflated_box(0.1)
     return ProblemInstance(
         name=problem.name, dimension=problem.dimension,
-        objective=wrapped, objective_batch=batch, domain=domain,
+        objective=penalized_function(problem.objective, feasible, spec),
+        objective_batch=penalized_batch(problem.objective_batch, feasible, spec),
+        domain=domain,
         sample_start=lambda rng: feasible.project(domain.sample(1, rng)[0]),
         report=problem.report, ideal_value=problem.ideal_value,
         lipschitz=None, parameters=problem.parameters,

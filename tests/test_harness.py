@@ -119,6 +119,46 @@ class TestConfigValidation:
         plan = dict(BASE["plan"], couple_widths=True, step={"kind": "sphere-decaying"})
         assert parse_config(dict(BASE, plan=plan)).plan["couple_widths"] is True
 
+    BALL_RAY = [
+        "problem: {name: l1-norm, n: 2}",
+        "seeds: [0]",
+        "budget: 10000",
+        "iterations: 20",
+        "plan: {stages: 2, step: {kind: constant-scaled, alpha: 0.5}}",
+        "constraint:",
+        "  type: ball",
+        "  center: [1.0, 1.0]",
+        "  radius: 1.0",
+        "  penalty:",
+        "    kind: ray-retraction",
+        "    M: 10.0",
+        "    anchor: [1.0, 1.0]",
+    ]
+
+    def test_penalty_section_parses(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "\n".join(self.BALL_RAY)))
+        assert cfg.constraint["penalty"]["anchor"] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("line, text, match", [
+        (13, "", "needs an interior 'anchor'"),
+        (13, "    anchor: [3.0, 3.0]", "anchor must lie in the constraint set"),
+        (13, "    anchor: [1.0, 1.0, 1.0]", "list of 2 numbers"),
+        (12, "    M: 0", "M must be positive"),
+        (12, "    M: -1.0", "M must be positive"),
+        (11, "    kind: constraint-sum", "explicit constraint functions"),
+        (9, "  radius: 0", "radius must be positive"),
+        (8, "  center: [1.0]", "list of 2 numbers"),
+        (14, "    retraction_tol: 1.0e-12", "unknown penalty key"),
+    ])
+    def test_penalty_section_checked_at_parse_time(self, tmp_path, line, text, match):
+        lines = self.BALL_RAY + [""]
+        lines[line - 1] = text
+        path = write_config(tmp_path, "\n".join(lines))
+        with pytest.raises(ConfigError, match=match) as err:
+            load_config(path)
+        anchor_line = 11 if text == "" else line  # a missing anchor: its penalty section
+        assert f"{path}:{anchor_line}:" in str(err.value)
+
     def test_constraint_rejected_for_polygon(self):
         bad = dict(BASE, problem={"name": "polygon", "n": 3},
                    constraint={"type": "ball", "center": [0, 0], "radius": 1.0})
@@ -154,14 +194,23 @@ class TestExecuteConfig:
         for row in rows:
             assert round(float(row["Ideal value"]), 4) == 0.4330
 
-    def test_rerun_reproduces_csv_bitwise(self, tmp_path, monkeypatch):
-        cfg = parse_config(dict(BASE, output=str(tmp_path / "out")))
-        monkeypatch.setenv("SMOOTHOPT_THREADS", "1")
-        csv_path, _ = execute_config(cfg)
-        first = csv_path.read_bytes()
-        monkeypatch.setenv("SMOOTHOPT_THREADS", "3")
-        csv_path, _ = execute_config(cfg)
-        assert csv_path.read_bytes() == first
+    def test_rerun_reproduces_csv_bitwise(self, tmp_path):
+        # the step must not use the Lipschitz estimate: it is seeded from the
+        # first seed of the list, so a seed's row depends on that seed
+        plan = {"stages": 3, "beta": 0.5, "step": {"kind": "constant", "rho": 0.02}}
+        polygon = dict(BASE, problem={"name": "polygon", "n": 3}, iterations=20, plan=plan)
+        ray = dict(BASE, problem={"name": "l1-norm", "n": 3}, iterations=20, plan=plan,
+                   constraint={"type": "ball", "center": [1.0] * 3, "radius": 1.0,
+                               "penalty": {"kind": "ray-retraction", "anchor": [1.0] * 3}})
+        for name, data in (("polygon", polygon), ("ray", ray)):
+            def rows(seeds, tag):
+                cfg = parse_config(dict(data, seeds=seeds, output=str(tmp_path / name / tag)))
+                return execute_config(cfg)[0].read_bytes()
+
+            together = rows([5, 6], "together")
+            assert rows([5, 6], "again") == together
+            apart = [rows([5], "a").split(b"\r\n")[1], rows([6], "b").split(b"\r\n")[1]]
+            assert together.split(b"\r\n")[1:3] == apart
 
     def test_run_records_are_self_describing(self, tmp_path):
         cfg = parse_config(dict(BASE, output=str(tmp_path / "out")))

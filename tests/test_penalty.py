@@ -147,6 +147,13 @@ class TestRayRetraction:
         anchor = np.array([0.25, 0.75])
         np.testing.assert_array_equal(ray_retraction(UNIT_BOX, anchor, anchor), anchor)
 
+    def test_tolerance_below_float_resolution_returns_feasible_point(self):
+        # the bracket stops shrinking near level 53, long before 2**-k * 3 <= 1e-20
+        x = np.array([3.0, 0.3])
+        y = ray_retraction(UNIT_BALL, np.zeros(2), x, tol=1e-20)
+        assert UNIT_BALL.contains(y)
+        np.testing.assert_allclose(y, x / np.linalg.norm(x), atol=1e-12)
+
     def test_infeasible_anchor_rejected(self):
         with pytest.raises(ValueError):
             ray_retraction(UNIT_BOX, [2.0, 2.0], [0.5, 0.5])
