@@ -30,10 +30,10 @@ from typing import Any
 import numpy as np
 import yaml
 
-from ..penalty import Ball, Box
+from ..penalty import Ball, Box, FeasibleSet
 from ..problems import calibration, problem_names
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "RunConfig", "constraint_set", "load_config", "parse_config"]
 
 _KERNELS = ("sphere", "gaussian")
 _PLAN_STEP_KINDS = ("constant", "constant-scaled", "sphere-decaying", "gaussian-decaying")
@@ -284,18 +284,17 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
 
     ctype = c.get("constraint.type")
     if ctype == "ball":
-        center = vector("constraint.center")
+        vector("constraint.center")
         radius = c.number("constraint.radius", required=True)
         if not radius > 0:
             c.fail("constraint.radius", f"radius must be positive, got {radius!r}")
-        feasible = Ball(center, radius)
     elif ctype == "box":
         lower, upper = vector("constraint.lower"), vector("constraint.upper")
         if np.any(lower > upper):
             c.fail("constraint.upper", "upper bound below the lower bound in some coordinate")
-        feasible = Box(lower, upper)
     else:
         c.fail("constraint.type", f"constraint type must be 'box' or 'ball', got {ctype!r}")
+    feasible = constraint_set(constraint)
 
     pen = c.get("constraint.penalty", default={"kind": "distance", "M": 10.0})
     if not isinstance(pen, dict):
@@ -320,6 +319,14 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
         if not feasible.contains(vector("constraint.penalty.anchor")):
             c.fail("constraint.penalty.anchor", "anchor must lie in the constraint set")
     return dict(constraint, penalty=dict(pen))
+
+
+def constraint_set(constraint: dict) -> FeasibleSet:
+    """The Ball or Box that a checked ``constraint`` section describes."""
+    if constraint["type"] == "ball":
+        return Ball(np.asarray(constraint["center"], dtype=float), float(constraint["radius"]))
+    return Box(np.asarray(constraint["lower"], dtype=float),
+               np.asarray(constraint["upper"], dtype=float))
 
 
 def _check_step(c: _Checker, path: str, step, allowed) -> dict:

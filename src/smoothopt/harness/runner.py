@@ -25,11 +25,10 @@ import numpy as np
 from ..continuation import (ContinuationResult, SmoothingPlan, StageResult,
                             geometric_widths, successive_smoothing)
 from ..optimizer import Schedule, StepRule, WidthRule, estimate_lipschitz, sgd_run
-from ..penalty import (Ball, Box, FeasibleSet, PenaltySpec, penalized_batch,
-                       penalized_function)
+from ..penalty import PenaltySpec, penalized_batch, penalized_function
 from ..problems import ProblemInstance, make_problem
 from ..smoothing import EvaluationError
-from .config import RunConfig
+from .config import RunConfig, constraint_set
 
 __all__ = ["RunOutcome", "execute_config", "build_problem", "resolve_plan",
            "resolve_schedule", "CSV_COLUMNS", "worker_count"]
@@ -70,14 +69,8 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
     problem = make_problem(cfg.problem_name, n=n, **params)
     if cfg.constraint is None:
         return problem
-    con = cfg.constraint
-    if con["type"] == "ball":
-        feasible: FeasibleSet = Ball(np.asarray(con["center"], dtype=float),
-                                     float(con["radius"]))
-    else:
-        feasible = Box(np.asarray(con["lower"], dtype=float),
-                       np.asarray(con["upper"], dtype=float))
-    pen = con["penalty"]
+    feasible = constraint_set(cfg.constraint)
+    pen = cfg.constraint["penalty"]
     spec = PenaltySpec(kind=pen.get("kind", "distance"), M=float(pen.get("M", 10.0)),
                        anchor=pen.get("anchor"))
     domain = feasible.inflated_box(0.1)

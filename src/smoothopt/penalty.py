@@ -124,16 +124,15 @@ class FeasibleSet:
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
         return bool(np.all(np.linalg.norm(_as_point(x) - self.project(x), axis=-1) <= tol))
 
-    def contains_rows(self, X, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+    def contains_rows(self, X) -> np.ndarray:
         """Membership of every row of ``X`` ``(m, n)``: :meth:`contains` row by row."""
-        return np.array([self.contains(row, tol) for row in _as_point(X)], dtype=bool)
+        return np.array([self.contains(row) for row in _as_point(X)], dtype=bool)
 
-    def exit_fraction(self, anchor: np.ndarray, X: np.ndarray,
-                      tol: float = FEASIBILITY_TOL) -> np.ndarray | None:
+    def exit_fraction(self, anchor: np.ndarray, X: np.ndarray) -> np.ndarray | None:
         """Per row, the ``s`` at which ``anchor + s*(x - anchor)`` leaves the set.
 
-        The boundary is that of :meth:`contains` with `tol`.  ``None`` when
-        the set has no closed form.  The value only predicts the ray
+        The boundary is that of :meth:`contains_rows`, ``FEASIBILITY_TOL``
+        outside the set.  ``None`` when the set has no closed form.  The value only predicts the ray
         retraction's bisection path, which is verified before it is used, so
         rounding error costs time, not exactness.
         """
@@ -185,13 +184,14 @@ class Box(FeasibleSet):
         x = _as_point(x)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def contains_rows(self, X, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+    def contains_rows(self, X) -> np.ndarray:
         X = _as_point(X)
-        return np.all((X >= self.lower - tol) & (X <= self.upper + tol), axis=-1)
+        return np.all((X >= self.lower - FEASIBILITY_TOL) & (X <= self.upper + FEASIBILITY_TOL),
+                      axis=-1)
 
-    def exit_fraction(self, anchor, X, tol: float = FEASIBILITY_TOL):
+    def exit_fraction(self, anchor, X):
         seg = X - anchor
-        bound = np.where(seg > 0, self.upper + tol, self.lower - tol)
+        bound = np.where(seg > 0, self.upper + FEASIBILITY_TOL, self.lower - FEASIBILITY_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(seg != 0, (bound - anchor) / seg, np.inf)
         return s.min(axis=-1)
@@ -236,18 +236,18 @@ class Ball(FeasibleSet):
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
         return bool(np.all(np.linalg.norm(_as_point(x) - self.center, axis=-1) <= self.radius + tol))
 
-    def contains_rows(self, X, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+    def contains_rows(self, X) -> np.ndarray:
         # C order keeps each row's sum of squares that of the one-point call
         X = np.ascontiguousarray(X, dtype=float)
-        return np.linalg.norm(X - self.center, axis=-1) <= self.radius + tol
+        return np.linalg.norm(X - self.center, axis=-1) <= self.radius + FEASIBILITY_TOL
 
-    def exit_fraction(self, anchor, X, tol: float = FEASIBILITY_TOL):
-        # larger root of ||w + s*d||^2 = (radius + tol)^2, without cancellation
+    def exit_fraction(self, anchor, X):
+        # larger root of ||w + s*d||^2 = (radius + FEASIBILITY_TOL)^2, without cancellation
         d = X - anchor
         w = anchor - self.center
         a = np.einsum("ij,ij->i", d, d)
         b = d @ w
-        c = w @ w - (self.radius + tol) ** 2
+        c = w @ w - (self.radius + FEASIBILITY_TOL) ** 2
         root = np.sqrt(np.maximum(b * b - a * c, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(b > 0, -c / (b + root), (root - b) / a)
@@ -359,8 +359,7 @@ def ray_retraction(feasible: FeasibleSet, anchor, x, tol: float | None = None) -
     the segment ``[anchor, x]`` nearest to ``x`` is located by bisection until
     the bracket is shorter than `tol` (default ``1e-10`` times the segment
     length), or no longer shrinks because `tol` is below the float
-    resolution of the segment, and its feasible end is returned.  ``x`` may
-    also be rows ``(m, n)``, each retracted as if alone.
+    resolution of the segment, and its feasible end is returned.
     """
     anchor = _as_point(anchor)
     x = _as_point(x)
@@ -368,7 +367,7 @@ def ray_retraction(feasible: FeasibleSet, anchor, x, tol: float | None = None) -
         raise ValueError("ray_retraction anchor must be feasible")
     if tol is not None and not tol > 0:
         raise ValueError("tolerance must be positive")
-    return _retract(feasible, anchor, _as_rows(x.reshape(-1, x.shape[-1])), tol).reshape(x.shape)
+    return _retract(feasible, anchor, x[None], tol)[0]
 
 
 def _retract(feasible: FeasibleSet, anchor: np.ndarray, X: np.ndarray,

@@ -229,16 +229,8 @@ class TestGlobalProperty:
 
 class TestDeterminism:
     def test_criterion_11_csv_bit_reproducibility(self, tmp_path):
-        common = [
-            "kernel: sphere",
-            "budget: 6000",
-            "iterations: 60",
-            "batch_size: 2",
-            # a step that does not use the Lipschitz estimate, which is seeded
-            # from the first seed of the list
-            "plan: {stages: 6, beta: 0.5, step: {kind: constant, rho: 0.02}}",
-        ]
-        configs = {
+        common = ["kernel: sphere", "budget: 6000", "iterations: 60", "batch_size: 2"]
+        problems = {
             "polygon": ["problem: {name: polygon, n: 3}"],
             "ray-retraction": [
                 "problem: {name: l1-norm, n: 4}",
@@ -246,13 +238,18 @@ class TestDeterminism:
                 "             penalty: {kind: ray-retraction, M: 10.0, anchor: [1, 1, 1, 1]}}",
             ],
         }
+        # re-runs: a step that scales with the estimated Lipschitz constant
+        scaled = "plan: {stages: 6, beta: 0.5, step: {kind: constant-scaled, alpha: 0.5}}"
+        # seed layouts: a step that does not use the Lipschitz estimate, which
+        # is seeded from the first seed of the list
+        constant = "plan: {stages: 6, beta: 0.5, step: {kind: constant, rho: 0.02}}"
 
-        def run(name, seeds, tag):
+        def run(name, plan, seeds, tag):
             """Summary CSV of one CLI run (a fresh interpreter) of the config."""
             path = tmp_path / f"{name}-{tag}.yaml"
             out = tmp_path / f"{name}-{tag}"
-            path.write_text("\n".join(configs[name] + common + [
-                f"seeds: {seeds}", f"output: {out}"]), encoding="utf-8")
+            path.write_text("\n".join(problems[name] + common + [
+                plan, f"seeds: {seeds}", f"output: {out}"]), encoding="utf-8")
             proc = subprocess.run(
                 [sys.executable, "-m", "smoothopt.harness.cli", "run", str(path)],
                 capture_output=True)
@@ -260,12 +257,13 @@ class TestDeterminism:
             return (out / "results.csv").read_bytes()
 
         checks = []
-        for name in configs:
-            together = run(name, [7, 8], "together")
-            rows = together.split(b"\r\n")[1:3]
-            apart = [run(name, [seed], seed).split(b"\r\n")[1] for seed in (7, 8)]
-            checks += [run(name, [7, 8], "again") == together, rows == apart]
+        for name in problems:
+            first = run(name, scaled, "{master: 7, count: 4}", "first")
+            checks.append(run(name, scaled, "{master: 7, count: 4}", "again") == first)
+            together = run(name, constant, [7, 8], "together").split(b"\r\n")[1:3]
+            apart = [run(name, constant, [seed], seed).split(b"\r\n")[1] for seed in (7, 8)]
+            checks.append(together == apart)
         report("11 (bit-exact reproducibility)", all(checks),
                f"summary CSV identical across re-runs, and seed rows identical with "
                f"seeds 7 and 8 run together and apart, on a polygon and a "
-               f"ray-retraction config ({len(together)} bytes)")
+               f"ray-retraction config ({len(first)} bytes)")

@@ -195,22 +195,26 @@ class TestExecuteConfig:
             assert round(float(row["Ideal value"]), 4) == 0.4330
 
     def test_rerun_reproduces_csv_bitwise(self, tmp_path):
-        # the step must not use the Lipschitz estimate: it is seeded from the
-        # first seed of the list, so a seed's row depends on that seed
-        plan = {"stages": 3, "beta": 0.5, "step": {"kind": "constant", "rho": 0.02}}
-        polygon = dict(BASE, problem={"name": "polygon", "n": 3}, iterations=20, plan=plan)
-        ray = dict(BASE, problem={"name": "l1-norm", "n": 3}, iterations=20, plan=plan,
+        ray = dict(BASE, problem={"name": "l1-norm", "n": 3}, iterations=20,
                    constraint={"type": "ball", "center": [1.0] * 3, "radius": 1.0,
                                "penalty": {"kind": "ray-retraction", "anchor": [1.0] * 3}})
-        for name, data in (("polygon", polygon), ("ray", ray)):
-            def rows(seeds, tag):
-                cfg = parse_config(dict(data, seeds=seeds, output=str(tmp_path / name / tag)))
-                return execute_config(cfg)[0].read_bytes()
+        polygon = dict(BASE, problem={"name": "polygon", "n": 3}, iterations=20)
 
-            together = rows([5, 6], "together")
-            assert rows([5, 6], "again") == together
-            apart = [rows([5], "a").split(b"\r\n")[1], rows([6], "b").split(b"\r\n")[1]]
-            assert together.split(b"\r\n")[1:3] == apart
+        def csv(data, seeds, tag):
+            cfg = parse_config(dict(data, seeds=seeds, output=str(tmp_path / tag)))
+            return execute_config(cfg)[0].read_bytes()
+
+        # re-runs, with a step that scales with the (estimated) Lipschitz constant
+        for name, data in (("base", BASE), ("ray", ray)):
+            assert csv(data, [1, 2, 3], f"{name}-again") == csv(data, [1, 2, 3], name)
+        # seed layouts, with a step that does not use the Lipschitz estimate: it
+        # is seeded from the first seed of the list, so a row depends on that seed
+        constant = dict(BASE["plan"], step={"kind": "constant", "rho": 0.02})
+        for name, data in (("polygon", polygon), ("ray", ray)):
+            data = dict(data, plan=constant)
+            together = csv(data, [5, 6], f"{name}-together").split(b"\r\n")[1:3]
+            apart = [csv(data, [seed], f"{name}-{seed}").split(b"\r\n")[1] for seed in (5, 6)]
+            assert together == apart
 
     def test_run_records_are_self_describing(self, tmp_path):
         cfg = parse_config(dict(BASE, output=str(tmp_path / "out")))
