@@ -43,7 +43,6 @@ from .smoothing import (
     Kernel,
     SmoothedValue,
     grad_estimate,
-    sample_direction,
     second_moment_check,
     smoothed_value,
 )

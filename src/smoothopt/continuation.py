@@ -21,7 +21,7 @@ import numpy as np
 
 from .penalty import FeasibleSet
 from .smoothing import EvaluationError, Kernel
-from .optimizer import RunRecord, Schedule, StepRule, WidthRule, sgd_run
+from .optimizer import RunRecord, Schedule, StepRule, WidthRule, _lockstep_starts, sgd_run
 
 __all__ = [
     "SmoothingPlan",
@@ -157,13 +157,10 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
     ``x0`` of shape ``(S, n)`` runs S restarts in lockstep, with ``rng`` a
     sequence of S seeds or generators, one per restart; the result then has a
     leading run axis (see :meth:`ContinuationResult.run`).  ``evaluations``
-    counts per run.
+    counts per run.  Each restart's generator carries over from stage to
+    stage, so its directions are one stream in run order.
     """
-    variant = kernel.variant if isinstance(kernel, Kernel) else str(kernel)
-    x0 = np.array(x0, dtype=float)
-    single = x0.ndim == 1
-    if single:
-        x0, rng = x0[None], (rng,)
+    x0, rng, single = _lockstep_starts(x0, rng)
     gens = [r if isinstance(r, np.random.Generator) else np.random.default_rng(r) for r in rng]
 
     stages: list[StageResult] = []
@@ -180,7 +177,7 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
         else:
             start = ravine_start(returned[s - 2], returned[s - 1], plan.ravine_beta, X)
         try:
-            record = sgd_run(F, X, start, plan.schedule(s), variant,
+            record = sgd_run(F, X, start, plan.schedule(s), kernel,
                              plan.batch_size, plan.iterations, gens,
                              vectorized=vectorized, record_trajectory=record_trajectory)
         except EvaluationError as err:

@@ -15,6 +15,13 @@ A run is inherently sequential in ``t``, but independent runs are not:
 :func:`sgd_run` advances S runs in lockstep, with one stacked objective call
 of ``S * 2K`` probes per iteration.  Each run draws from its own generator,
 so a run in a lockstep batch reproduces the same run alone bit for bit.
+
+The directions depend only on a run's generator, never on its iterate or
+width, so they are drawn ahead of the iterations that use them: one call per
+run for a chunk of iterations, in run order, and never beyond the run's last
+iteration.  ``Generator.standard_normal`` fills arrays in stream order, so a
+chunk holds the same numbers as per-iteration draws and leaves the generator
+in the same state.
 """
 from __future__ import annotations
 
@@ -41,6 +48,10 @@ __all__ = [
 
 # Iterates are considered inside X up to this projection tolerance.
 ITERATE_TOL = 1e-9
+
+# Directions drawn per run in one call: at most this many rows (and at least
+# one iteration's K), so the chunk's memory does not grow with T.
+_DRAW_ROWS = 4096
 
 _STEP_KINDS = ("constant", "sphere-fixed", "sphere-decaying", "gaussian-fixed", "gaussian-decaying", "gaussian-vanishing")
 _BOUND_KINDS = ("sphere-fixed", "sphere-decaying", "sphere-vanishing", "gaussian-fixed", "gaussian-decaying", "gaussian-vanishing")
@@ -268,6 +279,16 @@ def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
     return np.random.default_rng(rng), seed
 
 
+def _lockstep_starts(x1, rng) -> tuple[np.ndarray, tuple, bool]:
+    """Starts as ``(S, n)`` with one rng per run, and whether ``x1`` was one ``(n,)`` start."""
+    x = np.array(x1, dtype=float)
+    if x.ndim == 1:
+        return x[None], (rng,), True
+    if x.ndim != 2 or not isinstance(rng, (list, tuple, np.ndarray)) or len(rng) != len(x):
+        raise ValueError("need starts of shape (n,), or (S, n) with one rng per start")
+    return x, tuple(rng), False
+
+
 def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | Kernel,
             K: int, T: int, rng, *, vectorized: bool = False,
             record_trajectory: bool = False) -> RunRecord:
@@ -281,25 +302,23 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
 
     ``x1`` of shape ``(S, n)`` starts S runs, with ``rng`` a sequence of S
     seeds or generators, one per run; they advance in lockstep and the result
-    is a lockstep record (see :class:`RunRecord`).  Each iteration draws the
-    runs' directions in run order, each from its own generator, and evaluates
-    all ``S * 2K`` probes in one call.  A run's record equals that of the same
-    run alone, bit for bit, when ``F`` and ``X.project`` treat rows
-    independently.  A start ``(n,)`` is the case S = 1.
+    is a lockstep record (see :class:`RunRecord`).  Each run's directions come
+    from its own generator, drawn per chunk of iterations in run order (at
+    most ``_DRAW_ROWS`` rows per run and call, and exactly ``K*T`` rows in
+    all), and each iteration evaluates all ``S * 2K`` probes in one call.  A
+    run's record equals that of the same run alone, bit for bit, when ``F``
+    and ``X.project`` treat rows independently.  A start ``(n,)`` is the case
+    S = 1.  The width of a :class:`Kernel` passed as `kernel` is not used;
+    ``schedule`` gives the widths.
     """
     if T < 1:
         raise ValueError("iteration count T must be at least 1")
     if K < 1:
         raise ValueError("batch size K must be at least 1")
-    x = np.array(x1, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x, rng = x[None], (rng,)
-    elif x.ndim != 2 or not isinstance(rng, (list, tuple, np.ndarray)) or len(rng) != len(x):
-        raise ValueError("need starts of shape (n,), or (S, n) with one rng per start")
+    x, rng, single = _lockstep_starts(x1, rng)
     if not np.all(np.isfinite(x)) or np.any(X.distance(x) > ITERATE_TOL):
         raise ValueError("starting point x1 must lie in the projection set X")
-    variant = kernel.variant if isinstance(kernel, Kernel) else str(kernel)
+    draw = (kernel if isinstance(kernel, Kernel) else Kernel(kernel, 1.0)).sample_directions
     gens, seeds = zip(*map(_as_rng, rng))
 
     start = time.perf_counter()
@@ -311,16 +330,22 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
     best_point = x.copy()
     x_first = x.copy()
     traj = np.empty((T, S, dim)) if record_trajectory else None
+    chunk = max(1, _DRAW_ROWS // K)
 
     for t in range(1, T + 1):
+        j = (t - 1) % chunk
+        if j == 0:
+            rows = min(chunk, T - t + 1) * K
+            block = np.stack([draw(dim, rows, g).reshape(-1, K, dim) for g in gens])
+        Y = block[:, j]
         rho, h = schedule.values(t)
+        if not h > 0:  # a coupled width is L * rho / K, with L possibly estimated as 0
+            raise ValueError("kernel width h must be positive")
         if record_trajectory:
             traj[t - 1] = x
         sum_x += x
         sum_rho_x += rho * x
         sum_rho += rho
-        kern = Kernel(variant, h)
-        Y = np.array([kern.sample_directions(dim, K, g) for g in gens])
         try:
             P, f = _two_point_batch(F, x, h, Y, vectorized)
         except EvaluationError as err:

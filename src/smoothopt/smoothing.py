@@ -20,6 +20,15 @@ all probes of an iteration go to the objective in one stacked call: each
 run's ``K`` plus probes, then its ``K`` minus probes, runs in order.  The
 directions are drawn before that call, one generator per run, so a run's
 draws and values do not depend on which other runs share the call.
+
+The directions do not depend on the iterate or the width either, so
+:func:`smoothopt.optimizer.sgd_run` draws them per chunk of iterations: one
+:meth:`Kernel.sample_directions` call per run and chunk, in run order.
+``Generator.standard_normal`` fills in stream order, so a chunk holds the
+numbers per-iteration draws would.  The one difference is the sphere
+kernel's re-draw of an all-zero normal row, which comes after the whole
+chunk instead of right after that iteration's rows.  It needs every
+coordinate of a row to be exactly 0.0, so no realizable run changes.
 """
 from __future__ import annotations
 
@@ -33,7 +42,6 @@ __all__ = [
     "GradientEstimate",
     "SmoothedValue",
     "EvaluationError",
-    "sample_direction",
     "grad_estimate",
     "smoothed_value",
     "second_moment_check",
@@ -106,7 +114,11 @@ class Kernel:
         return Kernel(self.variant, h)
 
     def sample_directions(self, dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw `count` finite-difference directions, shape ``(count, dimension)``."""
+        """Draw `count` finite-difference directions, shape ``(count, dimension)``.
+
+        Deterministic given the stream state.  The sphere kernel re-draws
+        all-zero rows in place, after the whole draw, so none is dropped.
+        """
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
         g = rng.standard_normal((count, dimension))
@@ -154,11 +166,6 @@ class SmoothedValue:
     value: float
     std_error: float
     samples: int
-
-
-def sample_direction(kernel: Kernel, dimension: int, rng: np.random.Generator) -> np.ndarray:
-    """One direction from the kernel's law; deterministic given the stream state."""
-    return kernel.sample_directions(dimension, 1, rng)[0]
 
 
 def _evaluate(F: Callable, points: np.ndarray, vectorized: bool) -> np.ndarray:

@@ -156,3 +156,19 @@ def test_lockstep_needs_one_rng_per_start(rng):
     sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
     with pytest.raises(ValueError, match="one rng per start"):
         sgd_run(lambda z: 0.0, X, np.zeros((3, 2)), sched, "sphere", 1, 1, rng)
+
+
+@pytest.mark.parametrize("rng", [0, np.random.default_rng(0)])
+def test_lockstep_smoothing_needs_one_rng_per_start(rng):
+    calls = []
+
+    def F(Z):
+        calls.append(len(Z))
+        return np.zeros(len(Z))
+
+    X = Box(-np.ones(2), np.ones(2))
+    plan = SmoothingPlan(widths=(0.5, 0.25), steps=(StepRule.constant(0.1),), iterations=2,
+                         batch_size=1)
+    with pytest.raises(ValueError, match="one rng per start"):
+        successive_smoothing(F, X, plan, "sphere", np.zeros((3, 2)), rng, vectorized=True)
+    assert calls == []

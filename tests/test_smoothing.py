@@ -7,7 +7,6 @@ from smoothopt.smoothing import (
     EvaluationError,
     Kernel,
     grad_estimate,
-    sample_direction,
     second_moment_check,
     smoothed_value,
 )
@@ -58,9 +57,36 @@ class TestKernel:
         assert norms.mean() == pytest.approx(4.0 / 5.0, abs=0.01)
 
     def test_seeded_draws_reproducible(self):
-        a = sample_direction(Kernel.gaussian(1.0), 2, np.random.default_rng(42))
-        b = sample_direction(Kernel.gaussian(1.0), 2, np.random.default_rng(42))
+        a = Kernel.gaussian(1.0).sample_directions(2, 1, np.random.default_rng(42))
+        b = Kernel.gaussian(1.0).sample_directions(2, 1, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
+
+
+    def test_sphere_redraws_a_zero_row_in_place(self):
+        # a chunk of directions with one exact all-zero normal row: the row is
+        # re-drawn after the whole chunk, and every other row keeps its place
+        first = np.random.default_rng(6).standard_normal((12, 3))
+        first[5] = 0.0
+
+        class ZeroRowStream:
+            """Returns `first`, then rows of 2.0 for every re-draw."""
+
+            def __init__(self):
+                self.shapes = []
+
+            def standard_normal(self, shape):
+                self.shapes.append(shape)
+                return first.copy() if len(self.shapes) == 1 else np.full(shape, 2.0)
+
+        stream = ZeroRowStream()
+        d = Kernel.sphere(1.0).sample_directions(3, 12, stream)
+        assert d.shape == (12, 3)
+        assert stream.shapes == [(12, 3), (1, 3)]
+        np.testing.assert_allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-15)
+        keep = np.arange(12) != 5
+        np.testing.assert_array_equal(
+            d[keep], first[keep] / np.linalg.norm(first[keep], axis=1, keepdims=True))
+        np.testing.assert_array_equal(d[5], np.full(3, 2.0) / np.linalg.norm(np.full(3, 2.0)))
 
 
 class TestGradEstimate:
