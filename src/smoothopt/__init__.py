@@ -16,8 +16,11 @@ Quick start::
     plan = so.default_plan(problem.domain, iterations=200, batch_size=2, L=15.0)
     result = so.successive_smoothing(
         problem.objective_batch, problem.domain, plan, "sphere",
-        problem.sample_start(np.random.default_rng(0)), rng=0, vectorized=True)
+        problem.sample_start(np.random.default_rng(0)), rng=0)
     print("area:", problem.report(result.best_value))
+
+Every objective the optimizer layers call is a batch objective, rows ``(m, n)``
+in and ``m`` values out; wrap a one-point ``f`` as ``lambda P: np.array([f(p) for p in P])``.
 """
 
 from .penalty import (
@@ -30,11 +33,9 @@ from .penalty import (
     PenaltySpec,
     ball_constraint,
     box_constraints,
-    distance,
     penalize,
     penalized_batch,
     penalized_function,
-    project,
     ray_retraction,
 )
 from .smoothing import (
@@ -52,7 +53,6 @@ from .optimizer import (
     StepRule,
     WidthRule,
     estimate_lipschitz,
-    schedule_values,
     sgd_run,
     rate_bound,
 )
@@ -72,7 +72,6 @@ from .problems import (
     calibration,
     make_problem,
     polygon_area,
-    polygon_penalized,
     problem_names,
 )
 

@@ -145,14 +145,14 @@ def ravine_start(x_prev, x_curr, beta: float, X: FeasibleSet) -> np.ndarray:
 
 
 def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
-                         kernel: str | Kernel, x0, rng, *, vectorized: bool = False,
+                         kernel: str | Kernel, x0, rng, *,
                          record_trajectory: bool = False) -> ContinuationResult:
     """Run the outer smoothing loop over ``plan.widths``.
 
     Stage 0 starts from ``x0``; stage 1 from stage 0's returned point (no
     extrapolation is possible with a single minimizer); stage ``s >= 2`` from
     the ravine extrapolation of the two previous returned points.  The result
-    reports the best penalized value over all stages' probe evaluations.
+    reports the best value of the batch objective ``F`` over all probes.
 
     ``x0`` of shape ``(S, n)`` runs S restarts in lockstep, with ``rng`` a
     sequence of S seeds or generators, one per restart; the result then has a
@@ -179,7 +179,7 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
         try:
             record = sgd_run(F, X, start, plan.schedule(s), kernel,
                              plan.batch_size, plan.iterations, gens,
-                             vectorized=vectorized, record_trajectory=record_trajectory)
+                             record_trajectory=record_trajectory)
         except EvaluationError as err:
             raise err.with_context(stage=s) from None
         evaluations += record.evaluations

@@ -90,7 +90,7 @@ def _cmd_bench(args) -> int:
         # scale against the nearest known row rather than refusing
         budget = int(150_000 * max(1.0, args.n / 20.0))
     stages, K = 11, args.batch_size
-    iterations = max(1, budget // (2 * K * stages))
+    iterations = max(1, budget // (2 * max(K, 1) * stages))  # parse_config rejects K < 1
     data = {
         "problem": {"name": "polygon", "n": args.n},
         "kernel": "sphere",
@@ -105,12 +105,12 @@ def _cmd_bench(args) -> int:
     try:
         cfg = parse_config(data)
         csv_path, outcomes = execute_config(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a ConfigError, or a bad value found while running
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     best = max(float(o.row["Max. achived"]) for o in outcomes)
     ideal = outcomes[0].row["Ideal value"]
     print(f"wrote {csv_path}")
@@ -126,16 +126,13 @@ def _cmd_estimate_lipschitz(args) -> int:
         return 2
     try:
         problem = make_problem(args.problem, n=args.n)
-    except ValueError as exc:
+        lower, upper = problem.domain.bounding_box()
+        scale = 0.5 * float(np.linalg.norm(upper - lower)) if args.scale is None else args.scale
+        L = estimate_lipschitz(problem.objective_batch, problem.domain, scale,
+                               np.random.default_rng(args.seed), samples=args.samples)
+    except ValueError as exc:  # a bad --n, --scale (not positive) or --samples (below 1)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lower, upper = problem.domain.bounding_box()
-    scale = args.scale or 0.5 * float(np.linalg.norm(upper - lower))
-    rng = np.random.default_rng(args.seed)
-    F = problem.objective_batch or problem.objective
-    L = estimate_lipschitz(F, problem.domain, scale, rng,
-                           samples=args.samples,
-                           vectorized=problem.objective_batch is not None)
     print(f"{problem.name} (dimension {problem.dimension}): "
           f"L ~ {L:.6g} at scale {scale:.4g} "
           f"({args.samples} symmetric difference quotients, x1.5 safety)")

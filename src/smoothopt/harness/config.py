@@ -23,6 +23,7 @@ Example::
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -31,7 +32,7 @@ import numpy as np
 import yaml
 
 from ..penalty import Ball, Box, FeasibleSet
-from ..problems import calibration, problem_names
+from ..problems import PolygonProblem, calibration, problem_names
 
 __all__ = ["ConfigError", "RunConfig", "constraint_set", "load_config", "parse_config"]
 
@@ -151,6 +152,16 @@ class _Checker:
             self.fail(path, f"must be at least {minimum}, got {value!r}")
         return int(value) if integer else float(value)
 
+    def vector(self, path: str, dim: int, what: str = "a list") -> np.ndarray:
+        """A list of `dim` finite numbers; a bad entry fails at its own line."""
+        v = self.get(path, required=True)
+        if not isinstance(v, list) or len(v) != dim:
+            self.fail(path, f"expected {what} of {dim} numbers (the problem's dimension), got {v!r}")
+        for i, e in enumerate(v):
+            if isinstance(e, bool) or not isinstance(e, (int, float)) or not math.isfinite(e):
+                self.fail(f"{path}[{i}]", f"expected {what} of finite numbers, got {e!r}")
+        return np.asarray(v, dtype=float)
+
     def boolean(self, path: str, *, default: bool) -> bool:
         value = self.get(path, default=default)
         if not isinstance(value, bool):
@@ -247,6 +258,8 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         constraint = _check_constraint(c, name, constraint)
 
     start = c.get("start", default="auto")
+    if not (isinstance(start, str) and start == "auto"):
+        c.vector("start", _dimension(c, name), "'auto' or a starting point")
     record_trajectory = c.boolean("record_trajectory", default=False)
 
     return RunConfig(
@@ -267,29 +280,28 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
     )
 
 
+def _dimension(c: _Checker, name: str) -> int:
+    """The problem's reduced dimension, 2n - 2 for a polygon, as the runner will build it."""
+    n = c.number("problem.n", default=1, required=name == "polygon", integer=True, minimum=1)
+    return PolygonProblem(n).dimension if name == "polygon" else calibration(name, n).dimension
+
+
 def _check_constraint(c: _Checker, name: str, constraint) -> dict:
     """Validate the constraint set and its penalty, as the runner will build them."""
     if name == "polygon":
         c.fail("constraint", "the polygon problem carries its own penalties")
     if not isinstance(constraint, dict):
         c.fail("constraint", "constraint must be a mapping")
-    dim = calibration(name, c.number("problem.n", default=1, integer=True, minimum=1)).dimension
-
-    def vector(path):
-        v = c.get(path, required=True)
-        if not (isinstance(v, list) and len(v) == dim and all(
-                isinstance(e, (int, float)) and not isinstance(e, bool) for e in v)):
-            c.fail(path, f"expected a list of {dim} numbers (the problem's dimension), got {v!r}")
-        return np.asarray(v, dtype=float)
+    dim = _dimension(c, name)
 
     ctype = c.get("constraint.type")
     if ctype == "ball":
-        vector("constraint.center")
+        c.vector("constraint.center", dim)
         radius = c.number("constraint.radius", required=True)
         if not radius > 0:
             c.fail("constraint.radius", f"radius must be positive, got {radius!r}")
     elif ctype == "box":
-        lower, upper = vector("constraint.lower"), vector("constraint.upper")
+        lower, upper = c.vector("constraint.lower", dim), c.vector("constraint.upper", dim)
         if np.any(lower > upper):
             c.fail("constraint.upper", "upper bound below the lower bound in some coordinate")
     else:
@@ -316,7 +328,7 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
     if kind == "ray-retraction":
         if "anchor" not in pen:
             c.fail("constraint.penalty", "ray-retraction needs an interior 'anchor' point")
-        if not feasible.contains(vector("constraint.penalty.anchor")):
+        if not feasible.contains(c.vector("constraint.penalty.anchor", dim)):
             c.fail("constraint.penalty.anchor", "anchor must lie in the constraint set")
     return dict(constraint, penalty=dict(pen))
 

@@ -89,10 +89,7 @@ def _resolve_L(cfg: RunConfig, problem: ProblemInstance, scale: float) -> float:
     if problem.lipschitz is not None:
         return problem.lipschitz
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seeds[0], 0x11F5)))
-    return estimate_lipschitz(
-        problem.objective if problem.objective_batch is None else problem.objective_batch,
-        problem.domain, scale, rng,
-        vectorized=problem.objective_batch is not None)
+    return estimate_lipschitz(problem.objective_batch, problem.domain, scale, rng)
 
 
 def _step_rule(step: dict, *, h: float, D_auto: float, L: float, n: int, K: int,
@@ -161,19 +158,16 @@ def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan | N
             starts.append(np.asarray(cfg.start, dtype=float))
         gens.append(np.random.default_rng(opt_ss))
     x0 = np.array(starts)
-    vectorized = problem.objective_batch is not None
-    F = problem.objective_batch if vectorized else problem.objective
+    F = problem.objective_batch
     t0 = time.perf_counter()
 
     try:
         if plan is not None:
             result = successive_smoothing(F, problem.domain, plan, cfg.kernel, x0, gens,
-                                          vectorized=vectorized,
                                           record_trajectory=cfg.record_trajectory)
         else:
             record = sgd_run(F, problem.domain, x0, schedule, cfg.kernel, cfg.batch_size,
-                             cfg.iterations, gens, vectorized=vectorized,
-                             record_trajectory=cfg.record_trajectory)
+                             cfg.iterations, gens, record_trajectory=cfg.record_trajectory)
             h = schedule.width.h if schedule.width.kind == "fixed" else None
             stage = StageResult(index=0, h=h, start=x0, record=record,
                                 returned_point=record.weighted_average,
@@ -186,7 +180,7 @@ def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan | N
 
     runs = [result.run(s) for s in range(len(cfg.seeds))]
     # one extra diagnostic evaluation per seed, on top of the 2*K*T*stages accounting
-    avg_values = [float(problem.objective(run.stages[-1].returned_point)) for run in runs]
+    avg_values = F(np.array([run.stages[-1].returned_point for run in runs])).tolist()
     wall = time.perf_counter() - t0
 
     label_n = dict(problem.parameters).get("n", problem.dimension)

@@ -73,7 +73,7 @@ def _estimator_mean(batch_f, x, kernel: Kernel, replicates: int, batch: int,
     """Mean unbiased gradient over replicate batches, with replicate-based SE."""
     means = np.empty((replicates, np.asarray(x).size))
     for r in range(replicates):
-        est = grad_estimate(batch_f, x, kernel, batch, rng, vectorized=True)
+        est = grad_estimate(batch_f, x, kernel, batch, rng)
         means[r] = est.unbiased_gradient
     return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(replicates)
 
@@ -144,7 +144,7 @@ def moments_suite(*, n: int = 4, L: float = 2.0, h: float = 0.05,
     checks = []
     for name, f, Lf, x in (("linear", linear, L, np.zeros(n)),
                            ("l1", l1, L1, x_far)):
-        m = second_moment_check(f, x, Kernel.sphere(h), probes, rng, vectorized=True)
+        m = second_moment_check(f, x, Kernel.sphere(h), probes, rng)
         bound = (1.0 + slack) * Lf ** 2 / n
         checks.append(Check(
             name=f"sphere second moment ({name})",
@@ -159,7 +159,7 @@ def moments_suite(*, n: int = 4, L: float = 2.0, h: float = 0.05,
         ))
     for name, f, Lf, x in (("linear", linear, L, np.zeros(n)),
                            ("l1", l1, L1, x_far)):
-        m = second_moment_check(f, x, Kernel.gaussian(h), probes, rng, vectorized=True)
+        m = second_moment_check(f, x, Kernel.gaussian(h), probes, rng)
         exact = (n + 2.0) * Lf ** 2
         checks.append(Check(
             name=f"gaussian second moment ({name})",
@@ -197,20 +197,19 @@ def rate_suite(*, n: int = 10, K: int = 8, h: float = 0.1, D: float = 2.0,
 
     root = np.random.SeedSequence(master_seed)
     ref_rng = np.random.default_rng(root.spawn(1)[0])
-    ref = smoothed_value(f, np.zeros(n), kernel, eval_samples, ref_rng, vectorized=True)
+    ref = smoothed_value(f, np.zeros(n), kernel, eval_samples, ref_rng)
 
     rho = np.array([step.value(t) for t in range(1, T + 1)])
     gaps = {t: [] for t in checkpoints}
     for ss in root.spawn(seeds):
         child = np.random.default_rng(ss)
         x1 = X.sample(1, child)[0]
-        record = sgd_run(f, X, x1, schedule, "sphere", K, T, child,
-                         vectorized=True, record_trajectory=True)
+        record = sgd_run(f, X, x1, schedule, "sphere", K, T, child, record_trajectory=True)
         csum = np.cumsum(rho[:, None] * record.trajectory, axis=0)
         rsum = np.cumsum(rho)
         for t in checkpoints:
             xbar = csum[t - 1] / rsum[t - 1]
-            val = smoothed_value(f, xbar, kernel, eval_samples, child, vectorized=True)
+            val = smoothed_value(f, xbar, kernel, eval_samples, child)
             gaps[t].append(val.value - ref.value)
 
     checks = []

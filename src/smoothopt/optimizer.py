@@ -39,7 +39,6 @@ __all__ = [
     "WidthRule",
     "Schedule",
     "RunRecord",
-    "schedule_values",
     "rate_bound",
     "sgd_run",
     "estimate_lipschitz",
@@ -178,6 +177,7 @@ class Schedule:
     width: WidthRule
 
     def values(self, t: int) -> tuple[float, float]:
+        """Step size and smoothing width ``(rho_t, h_t)`` at iteration ``t >= 1``."""
         rho = self.step.value(t)
         if self.width.kind == "fixed":
             return rho, self.width.h
@@ -186,11 +186,6 @@ class Schedule:
         if L is None or K is None:
             raise ValueError("coupled width rule needs L and K (directly or from the step rule)")
         return rho, L * rho / K
-
-
-def schedule_values(schedule: Schedule, t: int) -> tuple[float, float]:
-    """Step size and smoothing width ``(rho_t, h_t)`` at iteration ``t >= 1``."""
-    return schedule.values(t)
 
 
 def rate_bound(which: str, *, D: float, L: float, n: int, K: int, C: float = 1.0,
@@ -290,15 +285,14 @@ def _lockstep_starts(x1, rng) -> tuple[np.ndarray, tuple, bool]:
 
 
 def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | Kernel,
-            K: int, T: int, rng, *, vectorized: bool = False,
-            record_trajectory: bool = False) -> RunRecord:
+            K: int, T: int, rng, *, record_trajectory: bool = False) -> RunRecord:
     """Run ``T`` projected two-point SGD steps from ``x1`` inside ``X``.
 
-    ``F`` must be defined on all probe points ``x_t +- h_t * y`` (probes may
-    leave ``X``; a penalized objective is total).  Returns the plain average
-    ``mean(x_1..x_T)``, the step-weighted average ``sum(rho_t x_t)/sum(rho_t)``
-    and the best probe seen.  Exactly ``2*K*T`` objective evaluations are
-    performed, and identical seeds reproduce the record bit for bit.
+    The batch objective ``F`` must be defined on the probes ``x_t +- h_t * y``,
+    which may leave ``X``.  Returns the plain average ``mean(x_1..x_T)``, the
+    step-weighted average ``sum(rho_t x_t)/sum(rho_t)`` and the best probe
+    seen.  Exactly ``2*K*T`` objective evaluations are performed, and
+    identical seeds reproduce the record bit for bit.
 
     ``x1`` of shape ``(S, n)`` starts S runs, with ``rng`` a sequence of S
     seeds or generators, one per run; they advance in lockstep and the result
@@ -347,7 +341,7 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
         sum_rho_x += rho * x
         sum_rho += rho
         try:
-            P, f = _two_point_batch(F, x, h, Y, vectorized)
+            P, f = _two_point_batch(F, x, h, Y)
         except EvaluationError as err:
             raise err.with_context(iteration=t) from None
         # best-point tracking reuses the probe evaluations already performed;
@@ -378,23 +372,24 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
 
 
 def estimate_lipschitz(F: Callable, region: FeasibleSet, scale: float,
-                       rng, *, samples: int = 1000, safety: float = 1.5,
-                       vectorized: bool = False) -> float:
+                       rng, *, samples: int = 1000, safety: float = 1.5) -> float:
     """Estimate a Lipschitz constant from random symmetric difference quotients.
 
     Draws `samples` base points in `region` and sphere directions, takes the
     largest quotient ``|F(x + scale*y) - F(x - scale*y)| / (2*scale)`` and
     multiplies by `safety`.  An estimate at the smoothing scale of interest is
     what the step-size rules need.  All plus points, then all minus points,
-    go to ``F`` in one stacked call; a non-finite value raises
-    :class:`EvaluationError` naming the point that produced it.
+    go to the batch objective ``F`` in one stacked call; a non-finite value
+    raises :class:`EvaluationError` naming the point that produced it.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     gen, _ = _as_rng(rng)
     pts = region.sample(samples, gen)
     dirs = Kernel.sphere(scale).sample_directions(pts.shape[1], samples, gen)
     step = scale * dirs
-    vals = _evaluate(F, np.concatenate([pts + step, pts - step]), vectorized)
+    vals = _evaluate(F, np.concatenate([pts + step, pts - step]))
     quotients = np.abs(vals[:samples] - vals[samples:]) / (2.0 * scale)
     return safety * float(quotients.max())

@@ -55,8 +55,6 @@ __all__ = [
     "ConfigurationError",
     "box_constraints",
     "ball_constraint",
-    "project",
-    "distance",
     "ray_retraction",
     "penalize",
     "penalized_function",
@@ -340,16 +338,6 @@ def ball_constraint(center, radius) -> Callable:
     """Explicit inequality function ``g(x) <= 0`` describing a Euclidean ball."""
     center = _as_point(center)
     return lambda x: float(np.linalg.norm(_as_point(x) - center) - radius)
-
-
-def project(feasible: FeasibleSet, x) -> np.ndarray:
-    """Euclidean projection of ``x`` onto the set (idempotent, non-expansive)."""
-    return feasible.project(_as_point(x))
-
-
-def distance(feasible: FeasibleSet, x) -> float:
-    """Euclidean distance of ``x`` to the set; zero exactly on members."""
-    return feasible.distance(_as_point(x))
 
 
 def ray_retraction(feasible: FeasibleSet, anchor, x, tol: float | None = None) -> np.ndarray:

@@ -30,7 +30,6 @@ __all__ = [
     "CalibrationFunction",
     "ProblemInstance",
     "polygon_area",
-    "polygon_penalized",
     "calibration",
     "make_problem",
     "problem_names",
@@ -179,11 +178,6 @@ class PolygonProblem:
         return math.pi / 4.0
 
 
-def polygon_penalized(problem: PolygonProblem, z) -> float:
-    """Module-level alias of :meth:`PolygonProblem.penalized`."""
-    return problem.penalized(z)
-
-
 @dataclass(frozen=True)
 class CalibrationFunction:
     """Closed-form test function with a known minimum.
@@ -287,14 +281,15 @@ def calibration(name: str, n: int = 1) -> CalibrationFunction:
 class ProblemInstance:
     """Uniform optimizer-facing wrapper used by the benchmark harness.
 
-    ``objective`` is minimized; ``report`` maps an objective value to the
+    ``objective_batch`` (rows to values) is minimized; ``objective`` is its
+    one-point form, for checks.  ``report`` maps an objective value to the
     quantity tables show (the polygon negates back to an area).
     """
 
     name: str
     dimension: int
     objective: Callable[[np.ndarray], float]
-    objective_batch: Callable[[np.ndarray], np.ndarray] | None
+    objective_batch: Callable[[np.ndarray], np.ndarray]
     domain: FeasibleSet
     sample_start: Callable[[np.random.Generator], np.ndarray]
     report: Callable[[float], float]

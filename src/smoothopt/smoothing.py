@@ -15,6 +15,9 @@ Only the symmetric (central) difference is implemented; it has lower variance
 than the one-sided form and matches the step-size theory in
 :mod:`smoothopt.optimizer`.
 
+Objectives here and in the layers above are batch objectives: rows ``(m, n)``
+in, ``m`` values out; wrap a one-point ``f`` as ``lambda P: np.array([f(p) for p in P])``.
+
 Two-point samples are independent across directions and across runs, so
 all probes of an iteration go to the objective in one stacked call: each
 run's ``K`` plus probes, then its ``K`` minus probes, runs in order.  The
@@ -110,9 +113,6 @@ class Kernel:
     def gaussian(cls, h: float) -> "Kernel":
         return cls("gaussian", h)
 
-    def with_width(self, h: float) -> "Kernel":
-        return Kernel(self.variant, h)
-
     def sample_directions(self, dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw `count` finite-difference directions, shape ``(count, dimension)``.
 
@@ -168,19 +168,16 @@ class SmoothedValue:
     samples: int
 
 
-def _evaluate(F: Callable, points: np.ndarray, vectorized: bool) -> np.ndarray:
-    """Evaluate ``F`` at points stacked along the leading axes, guarding against non-finite output.
+def _evaluate(F: Callable, points: np.ndarray) -> np.ndarray:
+    """Evaluate the batch objective ``F`` at points stacked along the leading axes.
 
-    ``F`` receives the points in C order, as one ``(m, n)`` array when
-    `vectorized` and one row at a time otherwise; the values come back in the
-    leading shape.  In a ``(S, m, n)`` stack the leading axis is the run, and
-    the error for a bad value names its run.
+    ``F`` receives the points in C order as one ``(m, n)`` array and must
+    return ``m`` values; they come back in the leading shape.  A non-finite
+    value raises :class:`EvaluationError`; in a ``(S, m, n)`` stack the
+    leading axis is the run, and the error names its run.
     """
     flat = points.reshape(-1, points.shape[-1])
-    if vectorized:
-        vals = np.asarray(F(flat), dtype=float)
-    else:
-        vals = np.array([float(F(p)) for p in flat], dtype=float)
+    vals = np.asarray(F(flat), dtype=float)
     if vals.shape != (flat.shape[0],):
         raise ValueError(f"objective returned shape {vals.shape}, expected ({flat.shape[0]},)")
     if not np.isfinite(vals).all():
@@ -190,7 +187,7 @@ def _evaluate(F: Callable, points: np.ndarray, vectorized: bool) -> np.ndarray:
     return vals.reshape(points.shape[:-1])
 
 
-def _two_point_batch(F, x, h, Y, vectorized):
+def _two_point_batch(F, x, h, Y):
     """Probe S runs at ``x_s +- h*y`` for their directions in one stacked call.
 
     ``x`` holds the runs' points ``(S, n)`` and ``Y`` their directions
@@ -200,23 +197,22 @@ def _two_point_batch(F, x, h, Y, vectorized):
     hY = h * Y
     x = x[:, None, :]
     P = np.concatenate([x + hY, x - hY], axis=1)
-    return P, _evaluate(F, P, vectorized)
+    return P, _evaluate(F, P)
 
 
-def grad_estimate(F: Callable, x, kernel: Kernel, K: int, rng: np.random.Generator,
-                  *, vectorized: bool = False) -> GradientEstimate:
+def grad_estimate(F: Callable, x, kernel: Kernel, K: int,
+                  rng: np.random.Generator) -> GradientEstimate:
     """Batch two-point estimate of the smoothed gradient at ``x``.
 
     Performs exactly ``2 * K`` objective evaluations (the probe points
-    ``x +- h*y`` for ``K`` independent directions ``y``).  With `vectorized`
-    the objective receives all probes in one ``(2K, n)`` array, plus probes
-    first, and must return ``2K`` values; the evaluation count is unchanged.
+    ``x +- h*y`` for ``K`` independent directions ``y``), in one call of the
+    batch objective ``F`` on a ``(2K, n)`` array, plus probes first.
     """
     if K < 1:
         raise ValueError("batch size K must be at least 1")
     x = np.asarray(x, dtype=float)
     Y = kernel.sample_directions(x.size, K, rng)
-    _, f = _two_point_batch(F, x[None], kernel.h, Y[None], vectorized)
+    _, f = _two_point_batch(F, x[None], kernel.h, Y[None])
     quotients = (f[0, :K] - f[0, K:]) / (2.0 * kernel.h)
     direction = (quotients[:, None] * Y).mean(axis=0)
     scale = kernel.gradient_scale(x.size)
@@ -226,8 +222,8 @@ def grad_estimate(F: Callable, x, kernel: Kernel, K: int, rng: np.random.Generat
                             h=kernel.h)
 
 
-def smoothed_value(F: Callable, x, kernel: Kernel, N: int, rng: np.random.Generator,
-                   *, vectorized: bool = False) -> SmoothedValue:
+def smoothed_value(F: Callable, x, kernel: Kernel, N: int,
+                   rng: np.random.Generator) -> SmoothedValue:
     """Monte-Carlo estimate of ``F_h(x) = E F(x + h*z)`` with its standard error.
 
     The sphere kernel draws ``z`` uniformly in the unit ball (not on the
@@ -238,14 +234,14 @@ def smoothed_value(F: Callable, x, kernel: Kernel, N: int, rng: np.random.Genera
         raise ValueError("sample count N must be at least 1")
     x = np.asarray(x, dtype=float)
     Z = kernel.sample_smoothing_points(x.size, N, rng)
-    vals = _evaluate(F, x + kernel.h * Z, vectorized)
+    vals = _evaluate(F, x + kernel.h * Z)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(N)) if N > 1 else float("nan")
     return SmoothedValue(value=mean, std_error=se, samples=N)
 
 
-def second_moment_check(F: Callable, x, kernel: Kernel, K_probe: int, rng: np.random.Generator,
-                        *, vectorized: bool = False) -> float:
+def second_moment_check(F: Callable, x, kernel: Kernel, K_probe: int,
+                        rng: np.random.Generator) -> float:
     """Empirical mean of the squared norm of single two-point samples.
 
     Estimates ``E || (F(x+h*y) - F(x-h*y)) / (2h) * y ||^2`` over `K_probe`
@@ -256,7 +252,7 @@ def second_moment_check(F: Callable, x, kernel: Kernel, K_probe: int, rng: np.ra
         raise ValueError("K_probe must be at least 1")
     x = np.asarray(x, dtype=float)
     Y = kernel.sample_directions(x.size, K_probe, rng)
-    _, f = _two_point_batch(F, x[None], kernel.h, Y[None], vectorized)
+    _, f = _two_point_batch(F, x[None], kernel.h, Y[None])
     quotients = (f[0, :K_probe] - f[0, K_probe:]) / (2.0 * kernel.h)
     sq_norms = quotients ** 2 * (Y ** 2).sum(axis=1)
     return float(sq_norms.mean())

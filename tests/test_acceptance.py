@@ -37,7 +37,7 @@ def run_polygon_benchmark(n, seeds, iterations, batch_size=2, stages=11,
     lower, upper = X.bounding_box()
     h0 = 0.5 * float(np.linalg.norm(upper - lower))
     lip_rng = np.random.default_rng(np.random.SeedSequence((seeds[0], 0x11F5)))
-    L = so.estimate_lipschitz(poly.objective_batch, X, h0, lip_rng, vectorized=True)
+    L = so.estimate_lipschitz(poly.objective_batch, X, h0, lip_rng)
     widths = so.geometric_widths(h0, stages, decay)
     steps = tuple(so.StepRule.constant(alpha * h / L) for h in widths)
     plan = so.SmoothingPlan(widths=widths, steps=steps, iterations=iterations,
@@ -47,8 +47,7 @@ def run_polygon_benchmark(n, seeds, iterations, batch_size=2, stages=11,
         start_ss, opt_ss = np.random.SeedSequence(seed).spawn(2)
         x0 = poly.sample_start(np.random.default_rng(start_ss))
         result = so.successive_smoothing(poly.objective_batch, X, plan, "sphere",
-                                         x0, np.random.default_rng(opt_ss),
-                                         vectorized=True)
+                                         x0, np.random.default_rng(opt_ss))
         areas.append(-result.best_value)
         evaluations.append(result.evaluations)
     return areas, evaluations
@@ -126,7 +125,7 @@ class TestEstimatorCriteria:
         c = rng.standard_normal(n)
         c *= L / np.linalg.norm(c)
         m = second_moment_check(lambda X: np.asarray(X) @ c, np.zeros(n),
-                                Kernel.gaussian(h), 200_000, rng, vectorized=True)
+                                Kernel.gaussian(h), 200_000, rng)
         report("5b (gaussian second moment <= n*L^2, as stated)",
                m <= n * L ** 2,
                f"measured {m:.4f} vs stated bound {n * L ** 2:.4f} "
@@ -183,7 +182,7 @@ class TestSmoothingCriteria:
         for h in (0.5, 0.1):
             for x in (-2 * h, -h, 0.0, h, 2 * h):
                 sv = smoothed_value(cal.batch, np.array([x]), Kernel.gaussian(h),
-                                    20_000, rng, vectorized=True)
+                                    20_000, rng)
                 expected = cal.gaussian_smoothed(x, h)
                 z = abs(sv.value - expected) / max(sv.std_error, 1e-9)
                 worst = max(worst, z)
@@ -212,12 +211,11 @@ class TestGlobalProperty:
         for ss in np.random.SeedSequence(303).spawn(20):
             rng = np.random.default_rng(ss)
             x0 = np.array([rng.uniform(-3.0, 3.0)])
-            multi = so.successive_smoothing(f, X, plan, "sphere", x0, rng,
-                                            vectorized=True)
+            multi = so.successive_smoothing(f, X, plan, "sphere", x0, rng)
             successive_hits += abs(multi.best_point[0] - 1.0) <= 0.1
             # same start, same total budget, smallest width only
             single = so.sgd_run(f, X, x0, single_schedule, "sphere", 1,
-                                stages * T, rng, vectorized=True)
+                                stages * T, rng)
             single_hits += abs(single.best_point[0] - 1.0) <= 0.1
         elapsed = time.perf_counter() - t0
         ok = successive_hits >= 18 and single_hits <= 10 and elapsed < 60.0

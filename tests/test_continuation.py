@@ -84,9 +84,9 @@ class TestSuccessiveSmoothing:
                              iterations=60, batch_size=2)
         x0 = np.array([2.0, -1.0])
         res = successive_smoothing(l1_batch, X2, plan, "sphere", x0,
-                                   np.random.default_rng(3), vectorized=True)
+                                   np.random.default_rng(3))
         rec = sgd_run(l1_batch, X2, x0, Schedule(plan.steps[0], WidthRule.fixed(0.5)),
-                      "sphere", 2, 60, np.random.default_rng(3), vectorized=True)
+                      "sphere", 2, 60, np.random.default_rng(3))
         assert res.best_value == rec.best_value
         np.testing.assert_array_equal(res.stages[0].returned_point, rec.weighted_average)
         assert res.evaluations == rec.evaluations
@@ -94,20 +94,20 @@ class TestSuccessiveSmoothing:
     def test_beta_zero_chains_returned_points_exactly(self):
         plan = self._plan(beta=0.0)
         res = successive_smoothing(l1_batch, X2, plan, "sphere", np.array([3.0, 3.0]),
-                                   np.random.default_rng(4), vectorized=True)
+                                   np.random.default_rng(4))
         for prev, cur in zip(res.stages, res.stages[1:]):
             np.testing.assert_array_equal(cur.start, prev.returned_point)
 
     def test_stage_one_starts_from_stage_zero_for_any_beta(self):
         plan = self._plan(beta=1.0)
         res = successive_smoothing(l1_batch, X2, plan, "sphere", np.array([3.0, 3.0]),
-                                   np.random.default_rng(5), vectorized=True)
+                                   np.random.default_rng(5))
         np.testing.assert_array_equal(res.stages[1].start, res.stages[0].returned_point)
 
     def test_later_stages_use_ravine_extrapolation(self):
         plan = self._plan(beta=0.7)
         res = successive_smoothing(l1_batch, X2, plan, "sphere", np.array([3.0, 3.0]),
-                                   np.random.default_rng(6), vectorized=True)
+                                   np.random.default_rng(6))
         a = res.stages[0].returned_point
         b = res.stages[1].returned_point
         np.testing.assert_array_equal(res.stages[2].start,
@@ -116,7 +116,7 @@ class TestSuccessiveSmoothing:
     def test_best_so_far_is_running_minimum(self):
         plan = self._plan(widths=(2.0, 1.0, 0.5, 0.25), T=30)
         res = successive_smoothing(l1_batch, X2, plan, "gaussian", np.array([4.0, -4.0]),
-                                   np.random.default_rng(7), vectorized=True)
+                                   np.random.default_rng(7))
         bests = [s.best_so_far for s in res.stages]
         assert all(b <= a for a, b in zip(bests, bests[1:]))
         assert res.best_value == bests[-1]
@@ -125,19 +125,19 @@ class TestSuccessiveSmoothing:
     def test_stage_widths_match_plan(self):
         plan = self._plan()
         res = successive_smoothing(l1_batch, X2, plan, "sphere", np.zeros(2),
-                                   np.random.default_rng(8), vectorized=True)
+                                   np.random.default_rng(8))
         assert tuple(s.h for s in res.stages) == plan.widths
 
     def test_evaluation_accounting(self):
         plan = self._plan(widths=(1.0, 0.5), T=25, K=3)
         res = successive_smoothing(l1_batch, X2, plan, "sphere", np.zeros(2),
-                                   np.random.default_rng(9), vectorized=True)
+                                   np.random.default_rng(9))
         assert res.evaluations == 2 * 3 * 25 * 2
 
     def test_seed_determinism(self):
         plan = self._plan()
         runs = [successive_smoothing(l1_batch, X2, plan, "gaussian", np.array([2.0, 2.0]),
-                                     np.random.default_rng(10), vectorized=True)
+                                     np.random.default_rng(10))
                 for _ in range(2)]
         assert runs[0].best_value == runs[1].best_value
         np.testing.assert_array_equal(runs[0].best_point, runs[1].best_point)
@@ -158,6 +158,6 @@ class TestSuccessiveSmoothing:
         plan = self._plan(widths=(1.0, 0.5), T=40)
         with pytest.raises(EvaluationError) as err:
             successive_smoothing(f, X2, plan, "sphere", np.zeros(2),
-                                 np.random.default_rng(11), vectorized=True)
+                                 np.random.default_rng(11))
         assert err.value.stage == 1
         assert err.value.iteration is not None

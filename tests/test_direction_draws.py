@@ -16,13 +16,11 @@ def same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, vectorized=True,
-                 record_trajectory=False):
+def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, record_trajectory=False):
     """``sgd_run`` with one direction draw per run and iteration, as before chunking.
 
     Takes a batch objective and the same arguments as ``sgd_run``.
     """
-    assert vectorized
     variant = kernel.variant if isinstance(kernel, Kernel) else kernel
     x = np.array(x1, dtype=float)
     single = x.ndim == 1
@@ -93,8 +91,7 @@ def test_chunked_sgd_run_equals_per_iteration_loop(S, K, n, T, draw_rows, kernel
     loop = [np.random.default_rng(seed + s) for s in range(S)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "_DRAW_ROWS", draw_rows)
-        got = sgd_run(F, X, starts, sched, kernel, K, T, ours,
-                      vectorized=True, record_trajectory=True)
+        got = sgd_run(F, X, starts, sched, kernel, K, T, ours, record_trajectory=True)
     want = loop_sgd_run(F, X, starts, sched, kernel, K, T, loop, record_trajectory=True)
     assert_same_record(got, want)
     assert states(ours) == states(loop)
@@ -114,9 +111,9 @@ def test_chunked_smoothing_equals_per_iteration_loop(S, K, n, T, draw_rows, kern
     loop = [np.random.default_rng(seed + s) for s in range(S)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "_DRAW_ROWS", draw_rows)
-        got = successive_smoothing(F, X, plan, kernel, starts, ours, vectorized=True)
+        got = successive_smoothing(F, X, plan, kernel, starts, ours)
         mp.setattr(continuation, "sgd_run", loop_sgd_run)
-        want = successive_smoothing(F, X, plan, kernel, starts, loop, vectorized=True)
+        want = successive_smoothing(F, X, plan, kernel, starts, loop)
     assert same(got.best_point, want.best_point)
     assert same(got.best_value, want.best_value)
     assert got.evaluations == want.evaluations

@@ -148,6 +148,7 @@ class TestConfigValidation:
         (11, "    kind: constraint-sum", "explicit constraint functions"),
         (9, "  radius: 0", "radius must be positive"),
         (8, "  center: [1.0]", "list of 2 numbers"),
+        (8, "  center: [1.0, .nan]", "list of finite numbers"),
         (14, "    retraction_tol: 1.0e-12", "unknown penalty key"),
     ])
     def test_penalty_section_checked_at_parse_time(self, tmp_path, line, text, match):
@@ -158,6 +159,28 @@ class TestConfigValidation:
             load_config(path)
         anchor_line = 11 if text == "" else line  # a missing anchor: its penalty section
         assert f"{path}:{anchor_line}:" in str(err.value)
+
+    START = ["problem: {name: polygon, n: 3}", "seeds: [1]", "budget: 10000",
+             "iterations: 10", "plan: {stages: 2, step: {kind: constant, rho: 0.1}}"]
+
+    @pytest.mark.parametrize("start, line, path, match", [
+        # a polygon's reduced dimension is 2n - 2 = 4
+        (["start: [0.5, 0.5]"], 6, "start", "starting point of 4 numbers"),
+        (['start: [0.5, 0.5, "x", 0.1]'], 6, "start[2]", "starting point of finite numbers"),
+        (["start:", "  - 0.5", "  - 0.5", "  - .nan", "  - 0.1"], 9, "start[2]",
+         "starting point of finite numbers"),
+        (["start: random"], 6, "start", "'auto' or a starting point"),
+    ])
+    def test_start_checked_at_parse_time(self, tmp_path, start, line, path, match):
+        cfg = write_config(tmp_path, "\n".join(self.START + start))
+        with pytest.raises(ConfigError, match=match) as err:
+            load_config(cfg)
+        assert str(err.value).startswith(f"{cfg}:{line}: {path}: ")
+
+    def test_start_of_problem_dimension_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "\n".join(
+            self.START + ["start: [0.5, 0.5, 1, 0.1]"])))
+        assert cfg.start == [0.5, 0.5, 1, 0.1]
 
     def test_constraint_rejected_for_polygon(self):
         bad = dict(BASE, problem={"name": "polygon", "n": 3},
@@ -292,10 +315,10 @@ class TestExecuteConfig:
         assert "(seed 9)" in str(err.value)
 
 
-def _perfbench_workloads():
-    """The benchmark's workload definitions, loaded from their file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench(name):
+    """A module of the benchmark, such as its workload definitions, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
@@ -305,7 +328,7 @@ def _perfbench_workloads():
 class TestBenchmarkReference:
     @pytest.mark.parametrize("name", ["polygon-n4", "ball-ray"])
     def test_tiny_workload_reproduces_reference(self, tmp_path, name):
-        W = _perfbench_workloads()
+        W = _perfbench("workloads")
         reference = W.reference_for(W.load_reference(), name, "tiny", 0)
         cfg = parse_config(W.WORKLOADS[name].config(0, "tiny", str(tmp_path / name)))
         csv_path, outcomes = execute_config(cfg)
@@ -313,6 +336,29 @@ class TestBenchmarkReference:
         assert data.decode("utf-8").split("\r\n")[1:-1] == reference["rows"]
         assert hashlib.sha256(data).hexdigest() == reference["csv_sha256"]
         assert [o.record["evaluations"] for o in outcomes] == reference["evaluations"]
+
+
+class TestBenchmarkPatchPoints:
+    def test_tracer_patches_exist_and_are_restored(self):
+        # the traced benchmark wraps library names in place; a name the
+        # library no longer has makes install() fail
+        from smoothopt import continuation, penalty, smoothing
+        from smoothopt.harness import runner, validate
+
+        owners = (runner, continuation, penalty, smoothing, validate,
+                  penalty.Box, penalty.Ball, smoothing.Kernel)
+        before = [dict(vars(owner)) for owner in owners]
+        tracer = _perfbench("spans").Tracer()
+        try:
+            tracer.install()
+            patched = [(owner, attr) for owner, attr, _ in tracer._patches]
+            assert patched and all(owner in owners for owner, _ in patched)
+        finally:
+            tracer.uninstall()
+        for owner, saved in zip(owners, before):
+            assert vars(owner).keys() == saved.keys()
+            for attr, value in saved.items():
+                assert vars(owner)[attr] is value, (owner, attr)
 
 
 class TestCli:
@@ -360,6 +406,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "best area" in out
 
+    @pytest.mark.parametrize("argv, name", [
+        (["bench", "polygon", "--batch-size", "0"], "batch_size"),
+        (["estimate-lipschitz", "l1-norm", "--n", "2", "--samples", "0"], "samples"),
+        (["estimate-lipschitz", "l1-norm", "--n", "2", "--scale", "-1"], "scale"),
+        (["estimate-lipschitz", "l1-norm", "--n", "2", "--scale", "0"], "scale"),
+    ], ids=["batch-size-0", "samples-0", "scale-negative", "scale-0"])
+    def test_bad_argument_exits_2_with_an_error_line(self, tmp_path, monkeypatch, capsys,
+                                                      argv, name):
+        monkeypatch.chdir(tmp_path)  # bench writes its default output directory here
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and name in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_infeasible_start_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "\n".join([
             "problem: {name: lsc-step-1d}",
@@ -382,14 +442,15 @@ class TestCli:
 
         def poisoned(cfg):
             problem = real_build(cfg)
-            calls = 0
+            rows = 0
 
-            def bad(x):
-                nonlocal calls
-                calls += 1
-                return float("inf") if calls > 5 else problem.objective(x)
+            def bad(Z):
+                nonlocal rows
+                index = rows + np.arange(len(Z))
+                rows += len(Z)
+                return np.where(index >= 5, np.inf, problem.objective_batch(Z))
 
-            return dataclasses.replace(problem, objective=bad, objective_batch=None)
+            return dataclasses.replace(problem, objective_batch=bad)
 
         monkeypatch.setattr(runner_mod, "build_problem", poisoned)
         cfg = write_config(tmp_path, "\n".join([

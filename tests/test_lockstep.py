@@ -18,18 +18,15 @@ def same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def problem(n: int, shape: str, vectorized: bool):
+def problem(n: int, shape: str):
     """A nonsmooth objective whose minimum lies outside the set, so projection acts."""
     c = np.linspace(-1.4, 1.4, n) if n > 1 else np.array([1.4])
 
     def batch(Z):
         return np.abs(np.asarray(Z) - c).sum(axis=-1)
 
-    def scalar(z):
-        return float(np.abs(np.asarray(z) - c).sum())
-
     X = Box(-np.ones(n), np.ones(n)) if shape == "box" else Ball(np.zeros(n), 1.0)
-    return (batch if vectorized else scalar), X
+    return batch, X
 
 
 def assert_same_record(a, b):
@@ -41,38 +38,35 @@ def assert_same_record(a, b):
 
 RUNS = dict(S=st.integers(1, 4), n=st.integers(1, 4), K=st.integers(1, 5),
             kernel=st.sampled_from(["sphere", "gaussian"]),
-            shape=st.sampled_from(["box", "ball"]), vectorized=st.booleans(), seed=SEEDS)
+            shape=st.sampled_from(["box", "ball"]), seed=SEEDS)
 
 
 @settings(max_examples=40, deadline=None)
 @given(**RUNS)
-def test_lockstep_sgd_run_equals_single_runs(S, n, K, kernel, shape, vectorized, seed):
-    F, X = problem(n, shape, vectorized)
+def test_lockstep_sgd_run_equals_single_runs(S, n, K, kernel, shape, seed):
+    F, X = problem(n, shape)
     starts = X.sample(S, np.random.default_rng(seed))
     seeds = [seed + s for s in range(S)]
     sched = Schedule(StepRule.constant(0.4), WidthRule.fixed(0.3))
-    batch = sgd_run(F, X, starts, sched, kernel, K, 12, seeds,
-                    vectorized=vectorized, record_trajectory=True)
+    batch = sgd_run(F, X, starts, sched, kernel, K, 12, seeds, record_trajectory=True)
     assert batch.best_value.shape == (S,)
     for s in range(S):
-        alone = sgd_run(F, X, starts[s], sched, kernel, K, 12, seeds[s],
-                        vectorized=vectorized, record_trajectory=True)
+        alone = sgd_run(F, X, starts[s], sched, kernel, K, 12, seeds[s], record_trajectory=True)
         assert_same_record(batch.run(s), alone)
 
 
 @settings(max_examples=30, deadline=None)
 @given(**RUNS)
-def test_lockstep_smoothing_equals_single_runs(S, n, K, kernel, shape, vectorized, seed):
-    F, X = problem(n, shape, vectorized)
+def test_lockstep_smoothing_equals_single_runs(S, n, K, kernel, shape, seed):
+    F, X = problem(n, shape)
     starts = X.sample(S, np.random.default_rng(seed))
     widths = (0.8, 0.4, 0.2)
     plan = SmoothingPlan(widths=widths, steps=tuple(StepRule.constant(0.5 * h) for h in widths),
                          iterations=6, batch_size=K, ravine_beta=1.5)
     gens = [np.random.default_rng(seed + s) for s in range(S)]
-    batch = successive_smoothing(F, X, plan, kernel, starts, gens, vectorized=vectorized)
+    batch = successive_smoothing(F, X, plan, kernel, starts, gens)
     for s in range(S):
-        alone = successive_smoothing(F, X, plan, kernel, starts[s], seed + s,
-                                     vectorized=vectorized)
+        alone = successive_smoothing(F, X, plan, kernel, starts[s], seed + s)
         mine = batch.run(s)
         assert same(mine.best_point, alone.best_point)
         assert same(mine.best_value, alone.best_value)
@@ -117,8 +111,8 @@ def test_ball_projection_rows_match_single_points(n, rows, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(S=st.integers(2, 4), K=st.integers(1, 3), vectorized=st.booleans(), data=st.data())
-def test_lockstep_error_names_run_stage_and_iteration(S, K, vectorized, data):
+@given(S=st.integers(2, 4), K=st.integers(1, 3), data=st.data())
+def test_lockstep_error_names_run_stage_and_iteration(S, K, data):
     T, stages = 4, 3
     per_call = S * 2 * K
     bad = data.draw(st.integers(0, stages * T * per_call - 1), label="bad evaluation")
@@ -132,17 +126,13 @@ def test_lockstep_error_names_run_stage_and_iteration(S, K, vectorized, data):
             out[bad - lo] = np.nan
         return out
 
-    def scalar(z):
-        return float(batch(np.asarray(z)[None])[0])
-
     X = Box(-np.ones(2), np.ones(2))
     widths = (0.5, 0.25, 0.125)
     plan = SmoothingPlan(widths=widths, steps=(StepRule.constant(0.05),), iterations=T,
                          batch_size=K)
     starts = X.sample(S, np.random.default_rng(0))
     with pytest.raises(EvaluationError) as err:
-        successive_smoothing(batch if vectorized else scalar, X, plan, "sphere", starts,
-                             list(range(S)), vectorized=vectorized)
+        successive_smoothing(batch, X, plan, "sphere", starts, list(range(S)))
     call, row = divmod(bad, per_call)
     assert err.value.run == row // (2 * K)
     assert err.value.stage == call // T
@@ -155,7 +145,7 @@ def test_lockstep_needs_one_rng_per_start(rng):
     X = Box(-np.ones(2), np.ones(2))
     sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
     with pytest.raises(ValueError, match="one rng per start"):
-        sgd_run(lambda z: 0.0, X, np.zeros((3, 2)), sched, "sphere", 1, 1, rng)
+        sgd_run(lambda Z: np.zeros(len(Z)), X, np.zeros((3, 2)), sched, "sphere", 1, 1, rng)
 
 
 @pytest.mark.parametrize("rng", [0, np.random.default_rng(0)])
@@ -170,5 +160,5 @@ def test_lockstep_smoothing_needs_one_rng_per_start(rng):
     plan = SmoothingPlan(widths=(0.5, 0.25), steps=(StepRule.constant(0.1),), iterations=2,
                          batch_size=1)
     with pytest.raises(ValueError, match="one rng per start"):
-        successive_smoothing(F, X, plan, "sphere", np.zeros((3, 2)), rng, vectorized=True)
+        successive_smoothing(F, X, plan, "sphere", np.zeros((3, 2)), rng)
     assert calls == []

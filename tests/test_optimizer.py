@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smoothopt.penalty import Ball, Box
 from smoothopt.optimizer import (
@@ -9,7 +10,6 @@ from smoothopt.optimizer import (
     StepRule,
     WidthRule,
     estimate_lipschitz,
-    schedule_values,
     sgd_run,
     rate_bound,
 )
@@ -41,17 +41,29 @@ class TestStepRules:
         with pytest.raises(ValueError):
             rule.value(1)
 
+    def test_gaussian_fixed_worked_example(self):
+        # D = L = 1, n = 3, K = 2, T = 4: rho = 1 / sqrt(2*4*(1 + 2/2)) = 1/4 for every t <= T
+        rule = StepRule.gaussian_fixed(D=1, L=1, n=3, K=2, T=4)
+        assert [rule.value(t) for t in (1, 2, 4)] == pytest.approx([0.25] * 3, rel=1e-15)
+
+    def test_gaussian_decaying_worked_example(self):
+        # D = 3, L = 1, n = 3, K = 1: rho_t = 3 / sqrt(2*t*(1 + 2/1)) = 3 / sqrt(6t),
+        # so 1/2 at t = 6 and 1/4 at t = 24
+        rule = StepRule.gaussian_decaying(D=3, L=1, n=3, K=1)
+        assert rule.value(6) == pytest.approx(0.5, rel=1e-15)
+        assert rule.value(24) == pytest.approx(0.25, rel=1e-15)
+
     def test_gaussian_vanishing_worked_example(self):
         # D = L = 1, n = 1, K = 4, t = 1: rho = 1/sqrt(2), coupled h = rho/4
         sched = Schedule(StepRule.gaussian_vanishing(D=1, L=1, n=1, K=4), WidthRule.coupled())
-        rho, h = schedule_values(sched, 1)
+        rho, h = sched.values(1)
         assert rho == pytest.approx(1 / math.sqrt(2))
         assert h == pytest.approx(rho / 4)
 
     def test_constant(self):
         sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.25))
         for t in (1, 5, 1000):
-            assert schedule_values(sched, t) == (0.1, 0.25)
+            assert sched.values(t) == (0.1, 0.25)
 
     def test_fixed_rules_reject_t_beyond_horizon(self):
         rule = StepRule.sphere_fixed(D=1, L=1, n=2, K=1, C=1, T=10)
@@ -73,13 +85,13 @@ class TestStepRules:
     def test_coupled_width_tracks_step(self):
         sched = Schedule(StepRule.sphere_decaying(D=1, L=2, n=3, K=4), WidthRule.coupled())
         for t in (1, 7, 50):
-            rho, h = schedule_values(sched, t)
+            rho, h = sched.values(t)
             assert h == pytest.approx(2 * rho / 4)
 
     def test_coupled_needs_L_and_K(self):
         sched = Schedule(StepRule.constant(0.1), WidthRule.coupled())
         with pytest.raises(ValueError):
-            schedule_values(sched, 1)
+            sched.values(1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,6 +115,34 @@ class TestTheoremBound:
             b = rate_bound("gaussian-fixed", D=1, L=1, n=n, K=n, t=2)
             assert b == pytest.approx(math.sqrt(2 - 1 / n))
             assert b < math.sqrt(2)
+
+    # tail(t) = (2 + ln t) / (sqrt(t) - 1) of the decaying and vanishing bounds
+    @pytest.mark.parametrize("which, params, t, expected", [
+        # (D*L/sqrt(2)) * sqrt(n/K) * sqrt(C + K/n) * tail: 6/sqrt(2) * 1 * sqrt(2)
+        ("sphere-decaying", dict(D=2, L=3, n=3, K=3, C=1), 4, 6 * (2 + math.log(4))),
+        # (D*L/2) * sqrt(n/K) * sqrt(2 + C + K/n) * tail: 3 * 1 * sqrt(9)
+        ("sphere-vanishing", dict(D=2, L=3, n=3, K=3, C=6), 4, 9 * (2 + math.log(4))),
+        # L*D*sqrt(2) * sqrt(1 + (n-1)/K) * tail: 6 * sqrt(2 * 1.5), tail = (2 + ln 9)/2
+        ("gaussian-decaying", dict(D=2, L=3, n=5, K=8), 9, 3 * math.sqrt(3) * (2 + math.log(9))),
+        # (D*L/2) * sqrt(1 + (n+3)/K) * tail: 3 * sqrt(9), tail = (2 + ln 9)/2
+        ("gaussian-vanishing", dict(D=2, L=3, n=5, K=1), 9, 4.5 * (2 + math.log(9))),
+    ])
+    def test_decaying_and_vanishing_worked_examples(self, which, params, t, expected):
+        assert rate_bound(which, t=t, **params) == pytest.approx(expected, rel=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(D=st.floats(1e-3, 1e3), L=st.floats(1e-3, 1e3), n=st.integers(1, 10_000),
+           K=st.integers(1, 10_000), C=st.floats(1e-3, 1e3), T=st.integers(1, 10 ** 7))
+    def test_fixed_step_times_bound_is_d_squared_s_over_t(self, D, L, n, K, C, T):
+        # The step rules act on the raw two-point direction.  For the sphere
+        # kernel it lacks the factor n of the unbiased gradient, so its step is
+        # n times the unbiased-gradient step D / (L * sqrt(T) * sqrt(2n/K * (C + K/n)))
+        # that inverts the bound: rho * bound = D^2 * s(n) / T, s(n) = n.  The
+        # Gaussian direction is already unbiased: s(n) = 1.
+        for kind, s_n in (("sphere-fixed", n), ("gaussian-fixed", 1)):
+            rho = StepRule(kind, D=D, L=L, n=n, K=K, C=C, T=T).value(T)
+            bound = rate_bound(kind, D=D, L=L, n=n, K=K, C=C, t=T)
+            assert rho * bound == pytest.approx(D ** 2 * s_n / T, rel=1e-12)
 
     def test_decreasing_in_horizon(self):
         for which in ("sphere-fixed", "gaussian-fixed"):
@@ -131,7 +171,7 @@ class TestSgdRun:
         X = Box(-np.ones(2), np.ones(2))
         x1 = np.array([0.3, -0.4])
         sched = Schedule(StepRule.constant(0.5), WidthRule.fixed(0.1))
-        rec = sgd_run(lambda x: 7.0, X, x1, sched, "sphere", 2, 50, rng=0)
+        rec = sgd_run(lambda X: np.full(len(X), 7.0), X, x1, sched, "sphere", 2, 50, rng=0)
         np.testing.assert_array_equal(rec.x_last, x1)
         np.testing.assert_allclose(rec.plain_average, x1, atol=1e-15)
         np.testing.assert_allclose(rec.weighted_average, x1, atol=1e-15)
@@ -142,7 +182,7 @@ class TestSgdRun:
         x1 = np.array([0.5])
         rho, h = 2.0, 0.25
         sched = Schedule(StepRule.constant(rho), WidthRule.fixed(h))
-        f = lambda x: float(3.0 * x[0])
+        f = lambda X: 3.0 * X[:, 0]
         rng = np.random.default_rng(1)
         rec = sgd_run(f, X, x1, sched, "sphere", 1, 1, rng)
         # 1-D sphere direction: eta = 3 exactly regardless of the sign drawn
@@ -153,7 +193,7 @@ class TestSgdRun:
         sched = Schedule(StepRule.sphere_decaying(D=2, L=2, n=4, K=2), WidthRule.fixed(0.2))
         rng = np.random.default_rng(2)
         rec = sgd_run(l1_batch, X, X.sample(1, rng)[0], sched, "sphere", 2, 300, rng,
-                      vectorized=True, record_trajectory=True)
+                      record_trajectory=True)
         norms = np.linalg.norm(rec.trajectory, axis=1)
         assert np.all(norms <= 1.0 + 1e-9)
 
@@ -161,15 +201,16 @@ class TestSgdRun:
         X = Box(np.zeros(2), np.ones(2))
         sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
         with pytest.raises(ValueError):
-            sgd_run(lambda x: 0.0, X, np.array([2.0, 0.0]), sched, "sphere", 1, 1, rng=0)
+            sgd_run(lambda X: np.zeros(len(X)), X, np.array([2.0, 0.0]), sched, "sphere", 1, 1,
+                    rng=0)
 
     def test_evaluation_accounting(self):
         calls = 0
 
-        def f(x):
+        def f(Z):
             nonlocal calls
-            calls += 1
-            return float(np.abs(x).sum())
+            calls += len(Z)
+            return l1_batch(Z)
 
         X = Box(-np.ones(2), np.ones(2))
         sched = Schedule(StepRule.constant(0.05), WidthRule.fixed(0.1))
@@ -180,10 +221,8 @@ class TestSgdRun:
     def test_seed_determinism(self):
         X = Ball(np.zeros(3), 1.0)
         sched = Schedule(StepRule.gaussian_decaying(D=2, L=2, n=3, K=2), WidthRule.fixed(0.1))
-        a = sgd_run(l1_batch, X, np.zeros(3), sched, "gaussian", 2, 100, rng=77,
-                    vectorized=True)
-        b = sgd_run(l1_batch, X, np.zeros(3), sched, "gaussian", 2, 100, rng=77,
-                    vectorized=True)
+        a = sgd_run(l1_batch, X, np.zeros(3), sched, "gaussian", 2, 100, rng=77)
+        b = sgd_run(l1_batch, X, np.zeros(3), sched, "gaussian", 2, 100, rng=77)
         np.testing.assert_array_equal(a.x_last, b.x_last)
         np.testing.assert_array_equal(a.weighted_average, b.weighted_average)
         np.testing.assert_array_equal(a.best_point, b.best_point)
@@ -193,8 +232,7 @@ class TestSgdRun:
     def test_constant_steps_make_weighted_equal_plain_average(self):
         X = Box(-np.ones(2), np.ones(2))
         sched = Schedule(StepRule.constant(0.02), WidthRule.fixed(0.1))
-        rec = sgd_run(l1_batch, X, np.array([0.5, -0.5]), sched, "sphere", 1, 200,
-                      rng=4, vectorized=True)
+        rec = sgd_run(l1_batch, X, np.array([0.5, -0.5]), sched, "sphere", 1, 200, rng=4)
         np.testing.assert_allclose(rec.weighted_average, rec.plain_average,
                                    rtol=0, atol=1e-12)
 
@@ -203,9 +241,9 @@ class TestSgdRun:
         sched = Schedule(StepRule.constant(0.05), WidthRule.fixed(0.2))
         seen = []
 
-        def f(x):
-            v = float(np.abs(x).sum())
-            seen.append(v)
+        def f(Z):
+            v = l1_batch(Z)
+            seen.extend(v)
             return v
 
         rec = sgd_run(f, X, np.array([0.8, 0.8]), sched, "sphere", 2, 100, rng=5)
@@ -218,17 +256,16 @@ class TestSgdRun:
                          WidthRule.fixed(0.1))
         rng = np.random.default_rng(6)
         x1 = X.sample(1, rng)[0]
-        rec = sgd_run(l1_batch, X, x1, sched, "sphere", K, T, rng, vectorized=True)
+        rec = sgd_run(l1_batch, X, x1, sched, "sphere", K, T, rng)
         assert l1_batch(rec.weighted_average) <= 0.5  # true minimum is 0
 
     def test_trajectory_recording(self):
         X = Box(-np.ones(2), np.ones(2))
         sched = Schedule(StepRule.constant(0.05), WidthRule.fixed(0.1))
-        rec = sgd_run(l1_batch, X, np.array([0.5, 0.5]), sched, "sphere", 1, 25,
-                      rng=7, vectorized=True)
+        rec = sgd_run(l1_batch, X, np.array([0.5, 0.5]), sched, "sphere", 1, 25, rng=7)
         assert rec.trajectory is None
         rec2 = sgd_run(l1_batch, X, np.array([0.5, 0.5]), sched, "sphere", 1, 25,
-                       rng=7, vectorized=True, record_trajectory=True)
+                       rng=7, record_trajectory=True)
         assert rec2.trajectory.shape == (25, 2)
         np.testing.assert_array_equal(rec2.trajectory[0], rec2.x_first)
 
@@ -237,30 +274,37 @@ class TestSgdRun:
         sched = Schedule(StepRule.constant(0.5), WidthRule.fixed(0.3))
         calls = 0
 
-        def f(x):
+        def f(Z):
             nonlocal calls
-            calls += 1
-            return float("inf") if calls > 10 else 0.0
+            rows = calls + np.arange(1, len(Z) + 1)  # 1-based index of each row
+            calls += len(Z)
+            return np.where(rows > 10, np.inf, 0.0)
 
         from smoothopt.smoothing import EvaluationError
         with pytest.raises(EvaluationError) as err:
             sgd_run(f, X, np.zeros(1), sched, "gaussian", 2, 100, rng=8)
-        assert err.value.iteration == 3  # 4 calls per iteration, 11th call fails
+        assert err.value.iteration == 3  # 4 rows per iteration, the 11th row fails
 
 
 class TestEstimateLipschitz:
     def test_linear_function_recovers_constant(self):
         c = np.array([3.0, -4.0])  # ||c|| = 5
         X = Box(-np.ones(2), np.ones(2))
-        L = estimate_lipschitz(lambda P: np.asarray(P) @ c, X, scale=0.1,
-                               rng=0, vectorized=True)
+        L = estimate_lipschitz(lambda P: np.asarray(P) @ c, X, scale=0.1, rng=0)
         assert L == pytest.approx(1.5 * 5.0, rel=0.05)
+
+    def test_no_samples_rejected_before_any_evaluation(self):
+        rows = []
+        with pytest.raises(ValueError, match="samples"):
+            estimate_lipschitz(lambda P: rows.append(len(P)) or l1_batch(P),
+                               Box(-np.ones(2), np.ones(2)), scale=0.1, rng=0, samples=0)
+        assert rows == []
 
     def test_safety_factor(self):
         X = Box(np.zeros(1), np.ones(1))
         f = lambda P: np.asarray(P)[..., 0]
-        base = estimate_lipschitz(f, X, scale=0.05, rng=1, vectorized=True, safety=1.0)
-        padded = estimate_lipschitz(f, X, scale=0.05, rng=1, vectorized=True)
+        base = estimate_lipschitz(f, X, scale=0.05, rng=1, safety=1.0)
+        padded = estimate_lipschitz(f, X, scale=0.05, rng=1)
         assert padded == pytest.approx(1.5 * base)
 
     def test_error_names_the_non_finite_probe(self):
@@ -268,9 +312,9 @@ class TestEstimateLipschitz:
         X = Box(-np.ones(2), np.ones(2))
         seen = []
 
-        def f(x):
-            seen.append(np.array(x))
-            return float("nan") if len(seen) > 5 else float(np.abs(x).sum())
+        def f(Z):
+            seen.extend(np.array(Z))
+            return np.where(np.arange(len(Z)) >= 5, np.nan, l1_batch(Z))
 
         from smoothopt.smoothing import EvaluationError
         with pytest.raises(EvaluationError) as err:
@@ -285,7 +329,7 @@ class TestEstimateLipschitz:
 
         problem = make_problem("polygon", n=4)
         X, f, scale = problem.domain, problem.objective_batch, 0.3
-        L = estimate_lipschitz(f, X, scale, rng=2, vectorized=True)
+        L = estimate_lipschitz(f, X, scale, rng=2)
         gen = np.random.default_rng(2)
         pts = X.sample(1000, gen)
         dirs = Kernel.sphere(scale).sample_directions(pts.shape[1], 1000, gen)

@@ -12,10 +12,8 @@ from smoothopt.penalty import (
     PenaltySpec,
     ball_constraint,
     box_constraints,
-    distance,
     penalize,
     penalized_function,
-    project,
     ray_retraction,
 )
 
@@ -26,33 +24,33 @@ UNIT_BALL = Ball(np.zeros(2), 1.0)
 
 class TestProject:
     def test_box_clamps_componentwise(self):
-        np.testing.assert_allclose(project(UNIT_BOX, [2.0, -1.0]), [1.0, 0.0])
+        np.testing.assert_allclose(UNIT_BOX.project([2.0, -1.0]), [1.0, 0.0])
 
     def test_ball_scales_radially(self):
-        np.testing.assert_allclose(project(UNIT_BALL, [3.0, 4.0]), [0.6, 0.8])
+        np.testing.assert_allclose(UNIT_BALL.project([3.0, 4.0]), [0.6, 0.8])
 
     def test_feasible_points_fixed(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.uniform(0, 1, size=2)
-            np.testing.assert_array_equal(project(UNIT_BOX, x), x)
+            np.testing.assert_array_equal(UNIT_BOX.project(x), x)
             y = UNIT_BALL.sample(1, rng)[0]
-            np.testing.assert_array_equal(project(UNIT_BALL, y), y)
+            np.testing.assert_array_equal(UNIT_BALL.project(y), y)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         for feasible in (UNIT_BOX, UNIT_BALL):
             for _ in range(50):
                 x = rng.uniform(-3, 3, size=2)
-                p = project(feasible, x)
-                np.testing.assert_allclose(project(feasible, p), p, atol=1e-15)
+                p = feasible.project(x)
+                np.testing.assert_allclose(feasible.project(p), p, atol=1e-15)
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(2)
         for feasible in (UNIT_BOX, UNIT_BALL):
             for _ in range(200):
                 x, y = rng.uniform(-4, 4, size=(2, 2))
-                lhs = np.linalg.norm(project(feasible, x) - project(feasible, y))
+                lhs = np.linalg.norm(feasible.project(x) - feasible.project(y))
                 assert lhs <= np.linalg.norm(x - y) + 1e-12
 
     def test_batch_rows_match_pointwise(self):
@@ -82,22 +80,22 @@ class TestProject:
 
 class TestDistance:
     def test_member_has_zero_distance(self):
-        assert distance(UNIT_BOX, [0.3, 0.8]) == 0.0
-        assert distance(UNIT_BALL, [0.3, 0.4]) == 0.0
+        assert UNIT_BOX.distance([0.3, 0.8]) == 0.0
+        assert UNIT_BALL.distance([0.3, 0.4]) == 0.0
 
     def test_ball_distance_is_norm_minus_radius(self):
-        assert distance(UNIT_BALL, [3.0, 4.0]) == pytest.approx(4.0)
+        assert UNIT_BALL.distance([3.0, 4.0]) == pytest.approx(4.0)
 
     def test_box_corner_distance(self):
-        assert distance(UNIT_BOX, [2.0, 2.0]) == pytest.approx(math.sqrt(2.0))
+        assert UNIT_BOX.distance([2.0, 2.0]) == pytest.approx(math.sqrt(2.0))
 
     def test_matches_projection_residual(self):
         rng = np.random.default_rng(4)
         for feasible in (UNIT_BOX, UNIT_BALL):
             for _ in range(50):
                 x = rng.uniform(-5, 5, size=2)
-                expected = np.linalg.norm(x - project(feasible, x))
-                assert distance(feasible, x) == pytest.approx(expected, abs=1e-14)
+                expected = np.linalg.norm(x - feasible.project(x))
+                assert feasible.distance(x) == pytest.approx(expected, abs=1e-14)
 
 
 class TestRayRetraction:

@@ -9,7 +9,6 @@ from smoothopt.problems import (
     make_problem,
     normal_cdf,
     polygon_area,
-    polygon_penalized,
     problem_names,
 )
 from smoothopt.smoothing import Kernel, smoothed_value
@@ -59,7 +58,7 @@ class TestPolygonPenalized:
     def test_feasible_point_gives_area(self):
         poly = PolygonProblem(3)
         z = np.array([0, 1, 1, 0, math.pi / 3, math.pi / 3])
-        assert polygon_penalized(poly, z) == pytest.approx(SQRT3_4, abs=1e-12)
+        assert poly.penalized(z) == pytest.approx(SQRT3_4, abs=1e-12)
 
     def test_golden_value_angle_and_diameter_violation(self):
         # r = (0,1,1), phi = (0, 2pi/3, 2pi/3): angle sum 4pi/3 rescales the
@@ -68,15 +67,15 @@ class TestPolygonPenalized:
         poly = PolygonProblem(3)
         z = np.array([0, 1, 1, 0, 2 * math.pi / 3, 2 * math.pi / 3])
         expected = 0.5 - math.pi / 3 - (math.sqrt(3.0) - 1.0)
-        assert polygon_penalized(poly, z) == pytest.approx(expected, abs=1e-12)
+        assert poly.penalized(z) == pytest.approx(expected, abs=1e-12)
 
     def test_box_violation_costs_p3_times_distance(self):
         poly = PolygonProblem(3)
         inside = np.array([0, 1, 1, 0, math.pi / 3, math.pi / 3])
         outside = inside.copy()
         outside[1] = 1.5  # r_2 beyond the box by 0.5
-        expected = polygon_penalized(poly, inside) - 10.0 * 0.5
-        assert polygon_penalized(poly, outside) == pytest.approx(expected, abs=1e-12)
+        expected = poly.penalized(inside) - 10.0 * 0.5
+        assert poly.penalized(outside) == pytest.approx(expected, abs=1e-12)
 
     def test_equals_area_exactly_on_feasible_points(self):
         rng = np.random.default_rng(0)
@@ -84,7 +83,7 @@ class TestPolygonPenalized:
             poly = PolygonProblem(n)
             for z in feasible_samples(poly, rng, count=30):
                 area = polygon_area(z[:n], z[n:])
-                assert polygon_penalized(poly, z) == area
+                assert poly.penalized(z) == area
 
     def test_total_and_finite_everywhere(self):
         rng = np.random.default_rng(1)
@@ -170,7 +169,7 @@ class TestCalibration:
         for h in (0.5, 0.1):
             for x in (-2 * h, -h, 0.0, h, 2 * h):
                 sv = smoothed_value(cal.batch, np.array([x]), Kernel.gaussian(h),
-                                    20_000, rng, vectorized=True)
+                                    20_000, rng)
                 expected = normal_cdf(-x / h)
                 se = max(sv.std_error, 1e-4)  # exact-zero SE at far probes
                 assert abs(sv.value - expected) <= 4 * se

@@ -13,15 +13,15 @@ from smoothopt.smoothing import (
 
 
 class Counter:
-    """Wrap a pointwise objective and count evaluations."""
+    """Wrap a batch objective and count evaluations (rows, not calls)."""
 
     def __init__(self, f):
         self.f = f
         self.calls = 0
 
-    def __call__(self, x):
-        self.calls += 1
-        return self.f(x)
+    def __call__(self, X):
+        self.calls += len(X)
+        return self.f(X)
 
 
 class TestKernel:
@@ -93,13 +93,14 @@ class TestGradEstimate:
     def test_constant_function_gives_exact_zero(self):
         rng = np.random.default_rng(4)
         for variant in ("sphere", "gaussian"):
-            est = grad_estimate(lambda x: 3.5, np.zeros(3), Kernel(variant, 0.2), 8, rng)
+            est = grad_estimate(lambda X: np.full(len(X), 3.5), np.zeros(3), Kernel(variant, 0.2),
+                                8, rng)
             np.testing.assert_array_equal(est.direction, np.zeros(3))
 
     def test_abs_at_origin_gives_exact_zero(self):
         # |h*eta| - |-h*eta| = 0 for every sample
         rng = np.random.default_rng(5)
-        est = grad_estimate(lambda x: abs(float(x[0])), np.zeros(1),
+        est = grad_estimate(lambda X: np.abs(X[:, 0]), np.zeros(1),
                             Kernel.gaussian(0.3), 64, rng)
         np.testing.assert_array_equal(est.direction, np.zeros(1))
 
@@ -107,14 +108,14 @@ class TestGradEstimate:
         # each sample is 2*eta^2 with mean 2 = dF_h/dx at x=1 (F_h = x^2 + h^2)
         rng = np.random.default_rng(6)
         K = 200_000
-        est = grad_estimate(lambda x: float(x[0] ** 2), np.ones(1),
+        est = grad_estimate(lambda X: X[:, 0] ** 2, np.ones(1),
                             Kernel.gaussian(0.5), K, rng)
         se = math.sqrt(8.0 / K)  # Var(2 eta^2) = 8
         assert abs(est.unbiased_gradient[0] - 2.0) <= 4 * se
 
     def test_sphere_1d_is_exact_derivative_of_smoothed(self):
         # in 1-D the sphere estimator reduces to (F(x+h) - F(x-h)) / (2h)
-        est = grad_estimate(lambda x: float(x[0] ** 2), np.array([1.5]),
+        est = grad_estimate(lambda X: X[:, 0] ** 2, np.array([1.5]),
                             Kernel.sphere(0.25), 4, np.random.default_rng(7))
         assert est.unbiased_gradient[0] == pytest.approx(3.0, abs=1e-12)
 
@@ -122,7 +123,7 @@ class TestGradEstimate:
         rng = np.random.default_rng(8)
         c = np.array([1.0, -2.0, 0.5])
         K = 100_000
-        est = grad_estimate(lambda x: float(c @ x), np.zeros(3),
+        est = grad_estimate(lambda X: X @ c, np.zeros(3),
                             Kernel.sphere(0.1), K, rng)
         # n * (c.y) y has mean c; componentwise spread is below ||c||
         np.testing.assert_allclose(est.unbiased_gradient, c,
@@ -130,30 +131,21 @@ class TestGradEstimate:
 
     def test_unbiased_gradient_scaling_relation(self):
         rng = np.random.default_rng(9)
-        f = lambda x: float(np.abs(x).sum())
+        f = lambda X: np.abs(X).sum(axis=-1)
         est_s = grad_estimate(f, np.ones(4), Kernel.sphere(0.2), 16, rng)
         np.testing.assert_array_equal(est_s.unbiased_gradient, 4.0 * est_s.direction)
         est_g = grad_estimate(f, np.ones(4), Kernel.gaussian(0.2), 16, rng)
         np.testing.assert_array_equal(est_g.unbiased_gradient, est_g.direction)
 
     def test_exact_evaluation_count(self):
-        counter = Counter(lambda x: float(x[0]))
+        counter = Counter(lambda X: X[:, 0])
         grad_estimate(counter, np.zeros(2), Kernel.sphere(0.1), 7,
                       np.random.default_rng(10))
         assert counter.calls == 14
 
-    def test_vectorized_path_matches_pointwise(self):
-        f_point = lambda x: float(np.abs(x).sum())
-        f_batch = lambda X: np.abs(X).sum(axis=-1)
-        x = np.array([0.3, -0.7])
-        a = grad_estimate(f_point, x, Kernel.gaussian(0.4), 32, np.random.default_rng(11))
-        b = grad_estimate(f_batch, x, Kernel.gaussian(0.4), 32, np.random.default_rng(11),
-                          vectorized=True)
-        np.testing.assert_array_equal(a.direction, b.direction)
-
     def test_nonfinite_value_raises_with_probe_point(self):
-        def f(x):
-            return float("nan") if x[0] > 0.5 else 0.0
+        def f(X):
+            return np.where(X[:, 0] > 0.5, np.nan, 0.0)
 
         with pytest.raises(EvaluationError) as err:
             grad_estimate(f, np.array([0.5]), Kernel.gaussian(0.3), 50,
@@ -161,7 +153,7 @@ class TestGradEstimate:
         assert err.value.point.shape == (1,)
 
     def test_metadata(self):
-        est = grad_estimate(lambda x: 0.0, np.zeros(2), Kernel.sphere(0.125), 5,
+        est = grad_estimate(lambda X: np.zeros(len(X)), np.zeros(2), Kernel.sphere(0.125), 5,
                             np.random.default_rng(13))
         assert est.samples_used == 5
         assert est.h == 0.125
@@ -169,7 +161,7 @@ class TestGradEstimate:
 
 class TestSmoothedValue:
     def test_constant(self):
-        sv = smoothed_value(lambda x: 2.25, np.zeros(2), Kernel.gaussian(1.0), 50,
+        sv = smoothed_value(lambda X: np.full(len(X), 2.25), np.zeros(2), Kernel.gaussian(1.0), 50,
                             np.random.default_rng(14))
         assert sv.value == 2.25
         assert sv.std_error == 0.0
@@ -178,44 +170,44 @@ class TestSmoothedValue:
     def test_abs_gaussian_closed_form(self):
         # E|h*eta| = h * sqrt(2/pi)
         h = 0.7
-        sv = smoothed_value(lambda x: abs(float(x[0])), np.zeros(1),
+        sv = smoothed_value(lambda X: np.abs(X[:, 0]), np.zeros(1),
                             Kernel.gaussian(h), 40_000, np.random.default_rng(15))
         assert abs(sv.value - h * math.sqrt(2 / math.pi)) <= 4 * sv.std_error
 
     def test_abs_ball_closed_form(self):
         # ball kernel in 1-D is uniform on [-h, h]: E|y| = h/2
         h = 0.6
-        sv = smoothed_value(lambda x: abs(float(x[0])), np.zeros(1),
+        sv = smoothed_value(lambda X: np.abs(X[:, 0]), np.zeros(1),
                             Kernel.sphere(h), 40_000, np.random.default_rng(16))
         assert abs(sv.value - h / 2) <= 4 * sv.std_error
 
     def test_exact_evaluation_count(self):
-        counter = Counter(lambda x: float(x[0]))
+        counter = Counter(lambda X: X[:, 0])
         smoothed_value(counter, np.zeros(3), Kernel.sphere(0.5), 321,
                        np.random.default_rng(17))
         assert counter.calls == 321
 
     def test_jensen_bound_for_convex_f(self):
         rng = np.random.default_rng(18)
-        f = lambda x: float(np.abs(x).sum())
+        f = lambda X: np.abs(X).sum(axis=-1)
         for variant in ("sphere", "gaussian"):
             for _ in range(10):
                 x = rng.uniform(-1, 1, size=3)
                 sv = smoothed_value(f, x, Kernel(variant, 0.5), 4000, rng)
-                assert sv.value >= f(x) - 4 * sv.std_error
+                assert sv.value >= f(x[None])[0] - 4 * sv.std_error
 
     def test_uniform_approximation_ball(self):
         # |F_h(x) - F(x)| <= L*h for the ball kernel and L-Lipschitz F
         rng = np.random.default_rng(19)
-        f = lambda x: float(np.abs(x).sum())
+        f = lambda X: np.abs(X).sum(axis=-1)
         L, h = math.sqrt(3.0), 0.3
         for _ in range(10):
             x = rng.uniform(-1, 1, size=3)
             sv = smoothed_value(f, x, Kernel.sphere(h), 4000, rng)
-            assert abs(sv.value - f(x)) <= L * h + 4 * sv.std_error
+            assert abs(sv.value - f(x[None])[0]) <= L * h + 4 * sv.std_error
 
     def test_determinism(self):
-        f = lambda x: float(np.sin(x).sum())
+        f = lambda X: np.sin(X).sum(axis=-1)
         a = smoothed_value(f, np.ones(2), Kernel.gaussian(0.8), 100,
                            np.random.default_rng(20))
         b = smoothed_value(f, np.ones(2), Kernel.gaussian(0.8), 100,
@@ -225,7 +217,7 @@ class TestSmoothedValue:
 
 class TestSecondMoment:
     def test_constant_is_zero(self):
-        m = second_moment_check(lambda x: 1.0, np.zeros(3), Kernel.sphere(0.1), 100,
+        m = second_moment_check(lambda X: np.ones(len(X)), np.zeros(3), Kernel.sphere(0.1), 100,
                                 np.random.default_rng(21))
         assert m == 0.0
 
@@ -236,8 +228,7 @@ class TestSecondMoment:
         c = rng.standard_normal(n)
         c *= L / np.linalg.norm(c)
         f = lambda X: np.asarray(X) @ c
-        m = second_moment_check(f, np.zeros(n), Kernel.sphere(0.05), 300_000, rng,
-                                vectorized=True)
+        m = second_moment_check(f, np.zeros(n), Kernel.sphere(0.05), 300_000, rng)
         assert m == pytest.approx(L ** 2 / n, rel=0.02)
 
     def test_l1_gaussian_below_safe_bound(self):
@@ -246,13 +237,12 @@ class TestSecondMoment:
         n = 4
         L = math.sqrt(n)
         f = lambda X: np.abs(np.asarray(X)).sum(axis=-1)
-        m = second_moment_check(f, np.full(n, 1.0), Kernel.gaussian(0.05), 200_000,
-                                rng, vectorized=True)
+        m = second_moment_check(f, np.full(n, 1.0), Kernel.gaussian(0.05), 200_000, rng)
         assert m == pytest.approx((n + 2) * L ** 2, rel=0.03)
         assert m <= (n + 4) * L ** 2
 
     def test_exact_evaluation_count(self):
-        counter = Counter(lambda x: float(x[0]))
+        counter = Counter(lambda X: X[:, 0])
         second_moment_check(counter, np.zeros(2), Kernel.gaussian(0.2), 11,
                             np.random.default_rng(24))
         assert counter.calls == 22
