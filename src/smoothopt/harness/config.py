@@ -31,6 +31,7 @@ from typing import Any
 import numpy as np
 import yaml
 
+from ..optimizer import ITERATE_TOL
 from ..penalty import Ball, Box, FeasibleSet
 from ..problems import PolygonProblem, calibration, problem_names
 
@@ -259,7 +260,12 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
 
     start = c.get("start", default="auto")
     if not (isinstance(start, str) and start == "auto"):
-        c.vector("start", _dimension(c, name), "'auto' or a starting point")
+        # the projection set the runner builds, with sgd_run's tolerance
+        domain = constraint_set(constraint).inflated_box(0.1) if constraint else _domain(c, name)
+        x = c.vector("start", domain.dimension, "'auto' or a starting point")
+        if domain.distance(x) > ITERATE_TOL:
+            c.fail("start", f"starting point must lie in the projection set, "
+                            f"from {domain.lower} to {domain.upper}")
     record_trajectory = c.boolean("record_trajectory", default=False)
 
     return RunConfig(
@@ -280,10 +286,10 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
     )
 
 
-def _dimension(c: _Checker, name: str) -> int:
-    """The problem's reduced dimension, 2n - 2 for a polygon, as the runner will build it."""
+def _domain(c: _Checker, name: str) -> Box:
+    """The problem's domain as the runner will build it; a polygon's is over 2n - 2 coordinates."""
     n = c.number("problem.n", default=1, required=name == "polygon", integer=True, minimum=1)
-    return PolygonProblem(n).dimension if name == "polygon" else calibration(name, n).dimension
+    return PolygonProblem(n).projection_set() if name == "polygon" else calibration(name, n).domain
 
 
 def _check_constraint(c: _Checker, name: str, constraint) -> dict:
@@ -292,7 +298,7 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
         c.fail("constraint", "the polygon problem carries its own penalties")
     if not isinstance(constraint, dict):
         c.fail("constraint", "constraint must be a mapping")
-    dim = _dimension(c, name)
+    dim = _domain(c, name).dimension
 
     ctype = c.get("constraint.type")
     if ctype == "ball":

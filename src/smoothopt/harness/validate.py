@@ -199,7 +199,7 @@ def rate_suite(*, n: int = 10, K: int = 8, h: float = 0.1, D: float = 2.0,
     ref_rng = np.random.default_rng(root.spawn(1)[0])
     ref = smoothed_value(f, np.zeros(n), kernel, eval_samples, ref_rng)
 
-    rho = np.array([step.value(t) for t in range(1, T + 1)])
+    rho = step.value(np.arange(1, T + 1))
     gaps = {t: [] for t in checkpoints}
     for ss in root.spawn(seeds):
         child = np.random.default_rng(ss)

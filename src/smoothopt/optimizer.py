@@ -21,7 +21,9 @@ width, so they are drawn ahead of the iterations that use them: one call per
 run for a chunk of iterations, in run order, and never beyond the run's last
 iteration.  ``Generator.standard_normal`` fills arrays in stream order, so a
 chunk holds the same numbers as per-iteration draws and leaves the generator
-in the same state.
+in the same state.  Step sizes and widths are likewise evaluated once per run,
+as arrays over ``t = 1..T``, and each iteration writes its probes into one
+fresh ``(S, 2K, n)`` array, since per-call numpy overhead is its main cost.
 """
 from __future__ import annotations
 
@@ -124,17 +126,19 @@ class StepRule:
     def gaussian_vanishing(cls, D, L, n, K) -> "StepRule":
         return cls("gaussian-vanishing", D=D, L=L, n=n, K=K)
 
-    def value(self, t: int) -> float:
-        if t < 1:
+    def value(self, t):
+        """Step size at iteration ``t``; an integer array ``t`` gives an array with the bits
+        of the scalar calls (the formulas are elementwise, ``sqrt`` correctly rounded)."""
+        if np.any(np.less(t, 1)):
             raise ValueError("iteration index t starts at 1")
         if self.kind == "constant":
-            return self.rho
+            return _full_like(t, self.rho)
+        tau = t
         if self.kind.endswith("-fixed"):
-            if t > self.T:
-                raise ValueError(f"step rule {self.kind!r} defined for t <= T = {self.T}, got t = {t}")
-            tau = self.T
-        else:
-            tau = t
+            if np.any(np.greater(t, self.T)):
+                raise ValueError(f"step rule {self.kind!r} defined for t <= T = {self.T}, "
+                                 f"got t = {np.max(t)}")
+            tau = _full_like(t, self.T)
         if self.kind in ("sphere-fixed", "sphere-decaying"):
             return self.D * np.sqrt(self.n * self.K) / (
                 self.L * np.sqrt(2.0 * tau * (self.C + self.K / self.n)))
@@ -143,6 +147,11 @@ class StepRule:
         if self.kind in ("gaussian-fixed", "gaussian-decaying"):
             return self.D / (self.L * np.sqrt(2.0 * tau * (1.0 + (self.n - 1.0) / self.K)))
         raise ValueError(f"no step-size formula for step rule {self.kind!r}")
+
+
+def _full_like(t, value):
+    """``value`` for a scalar ``t``, an array of it shaped like an array ``t``."""
+    return value if np.ndim(t) == 0 else np.full(np.shape(t), value)
 
 
 @dataclass(frozen=True)
@@ -176,11 +185,11 @@ class Schedule:
     step: StepRule
     width: WidthRule
 
-    def values(self, t: int) -> tuple[float, float]:
-        """Step size and smoothing width ``(rho_t, h_t)`` at iteration ``t >= 1``."""
+    def values(self, t):
+        """Step size and width ``(rho_t, h_t)`` at iteration ``t >= 1``, or arrays of them."""
         rho = self.step.value(t)
         if self.width.kind == "fixed":
-            return rho, self.width.h
+            return rho, _full_like(t, self.width.h)
         L = self.width.L if self.width.L is not None else self.step.L
         K = self.width.K if self.width.K is not None else self.step.K
         if L is None or K is None:
@@ -298,12 +307,14 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
     seeds or generators, one per run; they advance in lockstep and the result
     is a lockstep record (see :class:`RunRecord`).  Each run's directions come
     from its own generator, drawn per chunk of iterations in run order (at
-    most ``_DRAW_ROWS`` rows per run and call, and exactly ``K*T`` rows in
-    all), and each iteration evaluates all ``S * 2K`` probes in one call.  A
-    run's record equals that of the same run alone, bit for bit, when ``F``
-    and ``X.project`` treat rows independently.  A start ``(n,)`` is the case
-    S = 1.  The width of a :class:`Kernel` passed as `kernel` is not used;
-    ``schedule`` gives the widths.
+    most ``_DRAW_ROWS`` rows per run and call, ``K*T`` in all), and each
+    iteration evaluates all ``S * 2K`` probes in one call.  A run's record
+    equals that of the same run alone, bit for bit, when ``F`` and
+    ``X.project`` treat rows independently.  A start ``(n,)`` is the case
+    S = 1.  ``schedule`` gives every ``rho_t`` and ``h_t`` in one array call
+    up front (the width of a :class:`Kernel` passed as `kernel` is not used),
+    so a fixed rule's horizon below ``T`` or a width that is not positive
+    raises ``ValueError`` before any evaluation, as a bad start does.
     """
     if T < 1:
         raise ValueError("iteration count T must be at least 1")
@@ -312,29 +323,25 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
     x, rng, single = _lockstep_starts(x1, rng)
     if not np.all(np.isfinite(x)) or np.any(X.distance(x) > ITERATE_TOL):
         raise ValueError("starting point x1 must lie in the projection set X")
+    rhos, hs = schedule.values(np.arange(1, T + 1))
+    if not np.all(hs > 0):  # a coupled width is L * rho / K, with L possibly estimated as 0
+        raise ValueError("kernel width h must be positive")
     draw = (kernel if isinstance(kernel, Kernel) else Kernel(kernel, 1.0)).sample_directions
     gens, seeds = zip(*map(_as_rng, rng))
 
     start = time.perf_counter()
     S, dim = x.shape
-    sum_x = np.zeros((S, dim))
-    sum_rho_x = np.zeros((S, dim))
-    sum_rho = 0.0
-    best_value = np.full(S, np.inf)
-    best_point = x.copy()
-    x_first = x.copy()
+    sum_x, sum_rho_x, sum_rho = np.zeros((S, dim)), np.zeros((S, dim)), 0.0
+    best_value, best_point, x_first = np.full(S, np.inf), x.copy(), x.copy()
     traj = np.empty((T, S, dim)) if record_trajectory else None
     chunk = max(1, _DRAW_ROWS // K)
 
-    for t in range(1, T + 1):
+    for t, rho, h in zip(range(1, T + 1), rhos.tolist(), hs.tolist()):
         j = (t - 1) % chunk
         if j == 0:
             rows = min(chunk, T - t + 1) * K
             block = np.stack([draw(dim, rows, g).reshape(-1, K, dim) for g in gens])
         Y = block[:, j]
-        rho, h = schedule.values(t)
-        if not h > 0:  # a coupled width is L * rho / K, with L possibly estimated as 0
-            raise ValueError("kernel width h must be positive")
         if record_trajectory:
             traj[t - 1] = x
         sum_x += x
@@ -346,13 +353,13 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
             raise err.with_context(iteration=t) from None
         # best-point tracking reuses the probe evaluations already performed;
         # argmin takes the first minimum, so plus probes win ties over minus
-        value = f.min(axis=1)
+        value = np.minimum.reduce(f, axis=1)
         better = value < best_value
         if better.any():
             best_value[better] = value[better]
             best_point[better] = P[better, f[better].argmin(axis=1)]
         quotients = (f[:, :K] - f[:, K:]) / (2.0 * h)
-        eta = (quotients[:, :, None] * Y).sum(axis=1) / K
+        eta = np.add.reduce(quotients[:, :, None] * Y, axis=1) / K
         x = X.project(x - rho * eta)
 
     record = RunRecord(

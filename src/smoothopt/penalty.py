@@ -176,7 +176,8 @@ class Box(FeasibleSet):
         object.__setattr__(self, "upper", up)
 
     def project(self, x):
-        return np.clip(_as_point(x), self.lower, self.upper)
+        # the array method skips np.clip's dispatch; it is the same clip ufunc
+        return _as_point(x).clip(self.lower, self.upper)
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
         x = _as_point(x)

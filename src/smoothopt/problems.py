@@ -71,9 +71,9 @@ class PolygonProblem:
             raise ValueError("polygon needs at least 3 vertices")
         if min(self.p1, self.p2, self.p3) <= 0:
             raise ValueError("penalty coefficients must be positive")
-        i, j = np.triu_indices(self.n, k=1)
-        object.__setattr__(self, "_pair_i", i)
-        object.__setattr__(self, "_pair_j", j)
+        # the feasible boxes on the raw vector: the pinned first coordinates get [0, 0] sides
+        object.__setattr__(self, "_upper", self.embed(self.boxes().upper)[0])
+        object.__setattr__(self, "_pairs", np.stack(np.triu_indices(self.n, k=1)))
 
     @property
     def phi_max(self) -> float:
@@ -87,14 +87,14 @@ class PolygonProblem:
     # -- raw decision vector helpers -------------------------------------
 
     def embed(self, v) -> np.ndarray:
-        """Reduced vector ``(r_2..r_n, phi_2..phi_n)`` to full ``z`` with pins."""
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        if v.shape[-1] != self.dimension:
+        """Reduced vectors ``(r_2..r_n, phi_2..phi_n)`` to rows of full ``z`` with pins."""
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1:] != (self.dimension,):
             raise ValueError(f"expected reduced vectors of length {self.dimension}")
-        m = v.shape[0]
-        z = np.zeros((m, 2 * self.n))
-        z[:, 1:self.n] = v[:, :self.n - 1]
-        z[:, self.n + 1:] = v[:, self.n - 1:]
+        n = self.n
+        z = np.zeros((v.size // self.dimension, 2 * n))
+        z[:, 1:n] = v[..., :n - 1]
+        z[:, n + 1:] = v[..., n - 1:]
         return z
 
     def reduce(self, z) -> np.ndarray:
@@ -105,47 +105,47 @@ class PolygonProblem:
 
     def penalized_batch(self, z) -> np.ndarray:
         """Vector of penalized areas for rows of ``z`` (shape ``(m, 2n)``)."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        if z.shape[-1] != 2 * self.n:
-            raise ValueError(f"expected decision vectors of length {2 * self.n}")
+        z = np.asarray(z, dtype=float)
         n = self.n
-        r, phi = z[:, :n], z[:, n:]
-        # box projection; the pinned first coordinates are degenerate [0, 0] sides
-        r_hat = np.clip(r, 0.0, 1.0)
-        phi_hat = np.clip(phi, 0.0, self.phi_max)
-        r_hat[:, 0] = 0.0
-        phi_hat[:, 0] = 0.0
+        if z.shape[-1:] != (2 * n,):
+            raise ValueError(f"expected decision vectors of length {2 * n}")
+        z = z.reshape(-1, 2 * n)
+        # box projection in one clip; the pinned first coordinates stay 0
+        z_hat = z.clip(0.0, self._upper)
+        r_hat, phi_hat = z_hat[:, :n], z_hat[:, n:]
 
-        angle_sum = phi_hat.sum(axis=1)
+        angle_sum = np.add.reduce(phi_hat, axis=1)
         over = angle_sum > math.pi
-        lam = np.where(over, math.pi / np.where(over, angle_sum, 1.0), 1.0)
-        area_phi = phi_hat * lam[:, None]
-        f1 = 0.5 * np.sum(r_hat[:, 1:] * r_hat[:, :-1] * np.sin(area_phi[:, 1:]), axis=1)
-        f1 -= np.where(over, self.p1 * (angle_sum - math.pi), 0.0)
+        rescale = over.any()  # rarely: then only the rows over pi change
+        area_phi = (phi_hat * np.where(over, math.pi / np.where(over, angle_sum, 1.0), 1.0)[:, None]
+                    if rescale else phi_hat)
+        f1 = 0.5 * np.add.reduce(r_hat[:, 1:] * r_hat[:, :-1] * np.sin(area_phi[:, 1:]), axis=1)
+        if rescale:
+            f1 -= np.where(over, self.p1 * (angle_sum - math.pi), 0.0)
 
         # Pairwise distances use the unrescaled angles, exactly as composed.
         # Each violating pair is penalized on its own: slack from pairs closer
         # than 1 must not offset genuine diameter violations, or the surrogate
         # stops being exact and its maximum overshoots the constrained optimum.
-        theta = np.cumsum(phi_hat, axis=1)
-        ri = r_hat[:, self._pair_i]
-        rj = r_hat[:, self._pair_j]
-        span = theta[:, self._pair_j] - theta[:, self._pair_i]
-        sq = ri ** 2 + rj ** 2 - 2.0 * ri * rj * np.cos(span)
+        theta = np.add.accumulate(phi_hat, axis=1)
+        ri, rj = r_hat.T[self._pairs]  # (pairs, m) each
+        ti, tj = theta.T[self._pairs]
+        sq = ri ** 2 + rj ** 2 - 2.0 * ri * rj * np.cos(tj - ti)
         dist = np.sqrt(np.maximum(sq, 0.0))
-        # Sum the violations left to right whatever the row count, so a row's
-        # value does not depend on its batch: the fancy indexing above lays the
-        # pair arrays out column-major, and ``sum(axis=1)`` would accumulate
-        # across columns for two rows or more but sum one row pairwise.
-        violation = np.cumsum(np.maximum(0.0, dist - 1.0), axis=1)[:, -1]
+        # Sum the violations pair by pair, left to right, whatever the row
+        # count, so a row's value does not depend on its batch; a reduction
+        # would sum one row pairwise but several rows in another order.
+        violation = np.add.accumulate(np.maximum(0.0, dist - 1.0))[-1]
         f2 = f1 - self.p2 * violation
 
-        retraction = np.linalg.norm(r - r_hat, axis=1) + np.linalg.norm(phi - phi_hat, axis=1)
-        return f2 - self.p3 * retraction
+        # distances to the r box and the phi box, one reduction over both halves
+        d = z - z_hat
+        residual = np.sqrt(np.add.reduce((d * d).reshape(-1, 2, n), axis=2))
+        return f2 - self.p3 * (residual[:, 0] + residual[:, 1])
 
     def penalized(self, z) -> float:
         """Penalized area (to maximize) at a raw decision vector of length 2n."""
-        return float(self.penalized_batch(np.asarray(z, dtype=float)[None, :])[0])
+        return float(self.penalized_batch(z)[0])
 
     # -- optimizer-facing surface ------------------------------------------
 
@@ -159,9 +159,7 @@ class PolygonProblem:
     def boxes(self) -> Box:
         """Feasible boxes of the reduced vector: ``[0,1]^(n-1) x [0, 2pi/n]^(n-1)``."""
         m = self.n - 1
-        lower = np.zeros(2 * m)
-        upper = np.concatenate([np.ones(m), np.full(m, self.phi_max)])
-        return Box(lower, upper)
+        return Box(np.zeros(2 * m), np.concatenate([np.ones(m), np.full(m, self.phi_max)]))
 
     def projection_set(self, inflate: float = 0.1) -> Box:
         return self.boxes().inflated_box(inflate)

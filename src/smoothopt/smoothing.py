@@ -194,9 +194,11 @@ def _two_point_batch(F, x, h, Y):
     ``(S, K, n)``.  Returns the probes ``(S, 2K, n)``, each run's ``K`` plus
     probes before its ``K`` minus probes, and their values ``(S, 2K)``.
     """
-    hY = h * Y
-    x = x[:, None, :]
-    P = np.concatenate([x + hY, x - hY], axis=1)
+    S, K, n = Y.shape
+    hY, x = h * Y, x[:, None]
+    P = np.empty((S, 2 * K, n))
+    np.add(x, hY, out=P[:, :K])
+    np.subtract(x, hY, out=P[:, K:])
     return P, _evaluate(F, P)
 
 

@@ -170,6 +170,8 @@ class TestConfigValidation:
         (["start:", "  - 0.5", "  - 0.5", "  - .nan", "  - 0.1"], 9, "start[2]",
          "starting point of finite numbers"),
         (["start: random"], 6, "start", "'auto' or a starting point"),
+        # r_2 = 2 lies outside the projection set, whose r sides end at 1.05
+        (["start: [2.0, 0.5, 0.5, 0.5]"], 6, "start", "starting point must lie in the projection"),
     ])
     def test_start_checked_at_parse_time(self, tmp_path, start, line, path, match):
         cfg = write_config(tmp_path, "\n".join(self.START + start))
@@ -181,6 +183,28 @@ class TestConfigValidation:
         cfg = load_config(write_config(tmp_path, "\n".join(
             self.START + ["start: [0.5, 0.5, 1, 0.1]"])))
         assert cfg.start == [0.5, 0.5, 1, 0.1]
+
+    @pytest.mark.parametrize("extra, start, ok", [
+        # l1-norm's domain is [-1, 1]^2
+        ([], [1.0, -1.0], True),
+        ([], [1.5, 0.0], False),
+        # a constraint's projection set is its box inflated by 10%: [-0.05, 1.05]^2,
+        # with sgd_run's tolerance ITERATE_TOL = 1e-9 on the distance
+        (["constraint: {type: box, lower: [0, 0], upper: [1, 1]}"], [1.05 + 5e-10, -0.05], True),
+        (["constraint: {type: box, lower: [0, 0], upper: [1, 1]}"], [1.05 + 2e-9, 0.5], False),
+        (["constraint: {type: ball, center: [0, 0], radius: 1.0}"], [1.09, -1.09], True),
+    ])
+    def test_start_checked_against_the_runs_projection_set(self, tmp_path, extra, start, ok):
+        lines = ["problem: {name: l1-norm, n: 2}", "seeds: [1]", "budget: 10000",
+                 "iterations: 10", "plan: {stages: 2, step: {kind: constant, rho: 0.1}}",
+                 *extra, f"start: {start!r}"]
+        path = write_config(tmp_path, "\n".join(lines))
+        if ok:
+            assert load_config(path).start == start
+        else:
+            with pytest.raises(ConfigError, match="projection set") as err:
+                load_config(path)
+            assert str(err.value).startswith(f"{path}:{len(lines)}: start: ")
 
     def test_constraint_rejected_for_polygon(self):
         bad = dict(BASE, problem={"name": "polygon", "n": 3},

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smoothopt.penalty import (
     Ball,
@@ -96,6 +97,116 @@ class TestDistance:
                 x = rng.uniform(-5, 5, size=2)
                 expected = np.linalg.norm(x - feasible.project(x))
                 assert feasible.distance(x) == pytest.approx(expected, abs=1e-14)
+
+
+def random_set(kind: str, n: int, rng) -> tuple:
+    """A Box (degenerate and unbounded sides included), a Ball, or a CustomSet whose
+    oracle projects onto a ball or a half-space, checked against its constraint."""
+    if kind == "box":
+        lower = rng.uniform(-10, 10, n)
+        upper = lower + rng.uniform(0, 10, n) * (rng.random(n) < 0.8)
+        lower[rng.random(n) < 0.2] = -np.inf
+        upper[rng.random(n) < 0.2] = np.inf
+        return Box(lower, upper), 10.0
+    center, radius = rng.uniform(-10, 10, n), rng.uniform(1e-3, 10)
+    ball = Ball(center, radius)
+    if kind == "ball":
+        return ball, 10.0 + radius
+    if kind == "custom-ball":
+        return CustomSet(oracle=ball.project, inequalities=[ball_constraint(center, radius)]), \
+            10.0 + radius
+    a, b = rng.normal(size=n), rng.uniform(-10, 10)
+
+    def halfspace(x):
+        return x - max(0.0, float(a @ x) - b) / float(a @ a) * a
+
+    return CustomSet(oracle=halfspace, inequalities=[lambda x: float(a @ x) - b]), \
+        10.0 + abs(b) / np.linalg.norm(a)
+
+
+def random_points(S, n, scale, rng, count):
+    """Points near the set at a scale of ``scale``, a share of them inside it."""
+    X = rng.uniform(-2, 2, size=(count, n)) * scale
+    inside = rng.random(count) < 0.3
+    if inside.any():  # CustomSet cannot stack an empty batch
+        X[inside] = S.project(X[inside])
+    return X
+
+
+SETS = dict(kind=st.sampled_from(["box", "ball", "custom-ball", "custom-halfspace"]),
+            n=st.integers(1, 6), count=st.integers(1, 30),
+            scale=st.sampled_from([1e-3, 1.0, 10.0, 1e3]), seed=st.integers(0, 2 ** 32 - 1))
+
+
+def rounding(*arrays) -> float:
+    """Absolute slack for float rounding at the magnitude of ``arrays``."""
+    return 1e-12 * (1.0 + max(float(np.max(np.abs(a[np.isfinite(a)]), initial=0.0))
+                              for a in arrays))
+
+
+class TestProjectionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(**SETS)
+    def test_idempotent(self, kind, n, count, scale, seed):
+        rng = np.random.default_rng(seed)
+        S, size = random_set(kind, n, rng)
+        P = S.project(random_points(S, n, size * scale, rng, count))
+        PP = S.project(P)
+        if kind == "box":
+            np.testing.assert_array_equal(PP, P)
+        else:
+            np.testing.assert_allclose(PP, P, rtol=0, atol=rounding(P))
+
+    @settings(max_examples=150, deadline=None)
+    @given(**SETS)
+    def test_nonexpansive(self, kind, n, count, scale, seed):
+        rng = np.random.default_rng(seed)
+        S, size = random_set(kind, n, rng)
+        X = random_points(S, n, size * scale, rng, count)
+        Y = random_points(S, n, size * scale, rng, count)
+        lhs = np.linalg.norm(S.project(X) - S.project(Y), axis=1)
+        assert np.all(lhs <= np.linalg.norm(X - Y, axis=1) + rounding(X, Y))
+
+    @settings(max_examples=150, deadline=None)
+    @given(**SETS)
+    def test_batch_equals_row_by_row(self, kind, n, count, scale, seed):
+        rng = np.random.default_rng(seed)
+        S, size = random_set(kind, n, rng)
+        X = random_points(S, n, size * scale, rng, count)
+        rows = np.stack([S.project(x) for x in X])
+        assert S.project(X).tobytes() == rows.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(**SETS)
+    def test_distance_is_projection_residual(self, kind, n, count, scale, seed):
+        rng = np.random.default_rng(seed)
+        S, size = random_set(kind, n, rng)
+        X = random_points(S, n, size * scale, rng, count)
+        residual = np.array([np.linalg.norm(x - S.project(x)) for x in X])
+        batch = S.distance(X)
+        points = np.array([S.distance(x) for x in X])
+        np.testing.assert_allclose(batch, residual, rtol=1e-12, atol=rounding(X))
+        np.testing.assert_allclose(points, residual, rtol=1e-12, atol=rounding(X))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 8), count=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_box_project_is_clip_bit_for_bit(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        S, _ = random_set("box", n, rng)
+        # signed-zero sides too: np.minimum/np.maximum and clip disagree on the sign there
+        zero = rng.random(n) < 0.3
+        lower = np.where(zero, rng.choice([0.0, -0.0], n), np.minimum(S.lower, 0.0))
+        S = Box(lower, np.where(zero & (rng.random(n) < 0.5), 0.0, np.maximum(S.upper, 0.0)))
+        special = np.array([0.0, -0.0, np.inf, -np.inf])
+        X = rng.uniform(-20, 20, size=(count, n))
+        X[rng.random((count, n)) < 0.3] = 0.0
+        mask = rng.random((count, n)) < 0.3
+        X[mask] = rng.choice(special, size=mask.sum())
+        edges = rng.random((count, n)) < 0.2
+        X[edges] = np.broadcast_to(S.lower, X.shape)[edges]
+        assert S.project(X).tobytes() == np.clip(X, S.lower, S.upper).tobytes()
+        for x in X:
+            assert S.project(x).tobytes() == np.clip(x, S.lower, S.upper).tobytes()
 
 
 class TestRayRetraction:
