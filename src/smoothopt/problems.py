@@ -112,11 +112,14 @@ class PolygonProblem:
         z = z.reshape(-1, 2 * n)
         # box projection in one clip; the pinned first coordinates stay 0
         z_hat = z.clip(0.0, self._upper)
+        # distances to the r box and the phi box, one reduction over both halves,
+        # taken first so that its temporaries are gone before the pair arrays exist
+        residual = np.sqrt(np.add.reduce(np.square(z - z_hat).reshape(-1, 2, n), axis=2))
         r_hat, phi_hat = z_hat[:, :n], z_hat[:, n:]
 
         angle_sum = np.add.reduce(phi_hat, axis=1)
         over = angle_sum > math.pi
-        rescale = over.any()  # rarely: then only the rows over pi change
+        rescale = over.any()  # usually no row's angles exceed pi, and none are rescaled
         area_phi = (phi_hat * np.where(over, math.pi / np.where(over, angle_sum, 1.0), 1.0)[:, None]
                     if rescale else phi_hat)
         f1 = 0.5 * np.add.reduce(r_hat[:, 1:] * r_hat[:, :-1] * np.sin(area_phi[:, 1:]), axis=1)
@@ -129,18 +132,14 @@ class PolygonProblem:
         # stops being exact and its maximum overshoots the constrained optimum.
         theta = np.add.accumulate(phi_hat, axis=1)
         ri, rj = r_hat.T[self._pairs]  # (pairs, m) each
-        ti, tj = theta.T[self._pairs]
-        sq = ri ** 2 + rj ** 2 - 2.0 * ri * rj * np.cos(tj - ti)
+        span = np.subtract(*theta.T[self._pairs[::-1]])  # theta_j - theta_i
+        sq = ri ** 2 + rj ** 2 - 2.0 * ri * rj * np.cos(span)
         dist = np.sqrt(np.maximum(sq, 0.0))
         # Sum the violations pair by pair, left to right, whatever the row
         # count, so a row's value does not depend on its batch; a reduction
         # would sum one row pairwise but several rows in another order.
         violation = np.add.accumulate(np.maximum(0.0, dist - 1.0))[-1]
         f2 = f1 - self.p2 * violation
-
-        # distances to the r box and the phi box, one reduction over both halves
-        d = z - z_hat
-        residual = np.sqrt(np.add.reduce((d * d).reshape(-1, 2, n), axis=2))
         return f2 - self.p3 * (residual[:, 0] + residual[:, 1])
 
     def penalized(self, z) -> float:
