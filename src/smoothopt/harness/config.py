@@ -33,9 +33,10 @@ import yaml
 
 from ..optimizer import ITERATE_TOL
 from ..penalty import Ball, Box, FeasibleSet
-from ..problems import PolygonProblem, calibration, problem_names
+from ..problems import make_problem, problem_names
 
-__all__ = ["ConfigError", "RunConfig", "constraint_set", "load_config", "parse_config"]
+__all__ = ["ConfigError", "RunConfig", "constraint_set", "load_config", "parse_config",
+           "projection_set"]
 
 _KERNELS = ("sphere", "gaussian")
 _PLAN_STEP_KINDS = ("constant", "constant-scaled", "sphere-decaying", "gaussian-decaying")
@@ -261,7 +262,8 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
     start = c.get("start", default="auto")
     if not (isinstance(start, str) and start == "auto"):
         # the projection set the runner builds, with sgd_run's tolerance
-        domain = constraint_set(constraint).inflated_box(0.1) if constraint else _domain(c, name)
+        n = c.number("problem.n", default=1, integer=True, minimum=1)
+        domain = projection_set(name, n, constraint)
         x = c.vector("start", domain.dimension, "'auto' or a starting point")
         if domain.distance(x) > ITERATE_TOL:
             c.fail("start", f"starting point must lie in the projection set, "
@@ -286,19 +288,14 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
     )
 
 
-def _domain(c: _Checker, name: str) -> Box:
-    """The problem's domain as the runner will build it; a polygon's is over 2n - 2 coordinates."""
-    n = c.number("problem.n", default=1, required=name == "polygon", integer=True, minimum=1)
-    return PolygonProblem(n).projection_set() if name == "polygon" else calibration(name, n).domain
-
-
 def _check_constraint(c: _Checker, name: str, constraint) -> dict:
     """Validate the constraint set and its penalty, as the runner will build them."""
     if name == "polygon":
         c.fail("constraint", "the polygon problem carries its own penalties")
     if not isinstance(constraint, dict):
         c.fail("constraint", "constraint must be a mapping")
-    dim = _domain(c, name).dimension
+    n = c.number("problem.n", default=1, integer=True, minimum=1)
+    dim = projection_set(name, n, None).dimension
 
     ctype = c.get("constraint.type")
     if ctype == "ball":
@@ -337,6 +334,13 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
         if not feasible.contains(c.vector("constraint.penalty.anchor", dim)):
             c.fail("constraint.penalty.anchor", "anchor must lie in the constraint set")
     return dict(constraint, penalty=dict(pen))
+
+
+def projection_set(name: str, n: int | None, constraint: dict | None) -> Box:
+    """The box ``sgd_run`` projects onto: the problem's domain or a constraint's inflated box."""
+    if constraint is None:
+        return make_problem(name, n=n).domain
+    return constraint_set(constraint).inflated_box(0.1)
 
 
 def constraint_set(constraint: dict) -> FeasibleSet:

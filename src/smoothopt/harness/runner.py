@@ -28,7 +28,7 @@ from ..optimizer import Schedule, StepRule, WidthRule, estimate_lipschitz, sgd_r
 from ..penalty import PenaltySpec, penalized_batch, penalized_function
 from ..problems import ProblemInstance, make_problem
 from ..smoothing import EvaluationError
-from .config import RunConfig, constraint_set
+from .config import RunConfig, constraint_set, projection_set
 
 __all__ = ["RunOutcome", "execute_config", "build_problem", "resolve_plan",
            "resolve_schedule", "CSV_COLUMNS", "worker_count"]
@@ -73,7 +73,7 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
     pen = cfg.constraint["penalty"]
     spec = PenaltySpec(kind=pen.get("kind", "distance"), M=float(pen.get("M", 10.0)),
                        anchor=pen.get("anchor"))
-    domain = feasible.inflated_box(0.1)
+    domain = projection_set(cfg.problem_name, n, cfg.constraint)
     return ProblemInstance(
         name=problem.name, dimension=problem.dimension,
         objective=penalized_function(problem.objective, feasible, spec),

@@ -117,14 +117,12 @@ class PolygonProblem:
         residual = np.sqrt(np.add.reduce(np.square(z - z_hat).reshape(-1, 2, n), axis=2))
         r_hat, phi_hat = z_hat[:, :n], z_hat[:, n:]
 
-        angle_sum = np.add.reduce(phi_hat, axis=1)
-        over = angle_sum > math.pi
-        rescale = over.any()  # usually no row's angles exceed pi, and none are rescaled
-        area_phi = (phi_hat * np.where(over, math.pi / np.where(over, angle_sum, 1.0), 1.0)[:, None]
-                    if rescale else phi_hat)
+        # angles summing past pi are scaled down to pi and the excess penalized; with the
+        # sum capped at pi the other rows get the exact factor 1.0 and excess 0.0
+        capped = np.maximum(np.add.reduce(phi_hat, axis=1), math.pi)
+        area_phi = phi_hat * (math.pi / capped)[:, None]
         f1 = 0.5 * np.add.reduce(r_hat[:, 1:] * r_hat[:, :-1] * np.sin(area_phi[:, 1:]), axis=1)
-        if rescale:
-            f1 -= np.where(over, self.p1 * (angle_sum - math.pi), 0.0)
+        f1 -= self.p1 * (capped - math.pi)
 
         # Pairwise distances use the unrescaled angles, exactly as composed.
         # Each violating pair is penalized on its own: slack from pairs closer

@@ -82,11 +82,20 @@ DRAWS = dict(S=st.integers(1, 4), K=st.integers(1, 12), n=st.integers(1, 40),
 
 
 @settings(max_examples=60, deadline=None)
-@given(**DRAWS)
-def test_chunked_sgd_run_equals_per_iteration_loop(S, K, n, T, draw_rows, kernel, seed):
+@given(**DRAWS, kind=st.sampled_from(["constant", "sphere-fixed", "sphere-decaying",
+                                     "gaussian-fixed", "gaussian-decaying",
+                                     "gaussian-vanishing"]),
+       coupled=st.booleans())
+def test_chunked_sgd_run_equals_per_iteration_loop(S, K, n, T, draw_rows, kernel, seed,
+                                                   kind, coupled):
+    # sgd_run also evaluates rho_t and h_t for the whole run at once; the loop
+    # calls schedule.values(t) every iteration
     F, X = problem(n)
     starts = X.sample(S, np.random.default_rng(seed))
-    sched = Schedule(StepRule.constant(0.4), WidthRule.fixed(0.3))
+    step = (StepRule.constant(0.4) if kind == "constant" else
+            StepRule(kind, D=2.0, L=3.0, n=n, K=K, C=1.5,
+                     T=T if kind.endswith("-fixed") else None))
+    sched = Schedule(step, WidthRule.coupled(L=3.0, K=K) if coupled else WidthRule.fixed(0.3))
     ours = [np.random.default_rng(seed + s) for s in range(S)]
     loop = [np.random.default_rng(seed + s) for s in range(S)]
     with pytest.MonkeyPatch.context() as mp:
@@ -123,23 +132,3 @@ def test_chunked_smoothing_equals_per_iteration_loop(S, K, n, T, draw_rows, kern
         assert_same_record(a.record, b.record)
     assert states(ours) == states(loop)
 
-
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["sphere-fixed", "sphere-decaying", "gaussian-fixed",
-                             "gaussian-decaying", "gaussian-vanishing"]),
-       coupled=st.booleans(), S=st.integers(1, 3), K=st.integers(1, 4), n=st.integers(1, 8),
-       T=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
-def test_per_stage_schedule_arrays_equal_per_iteration_values(kind, coupled, S, K, n, T, seed):
-    # sgd_run evaluates rho_t and h_t for the whole stage at once; the loop calls
-    # schedule.values(t) every iteration
-    F, X = problem(n)
-    starts = X.sample(S, np.random.default_rng(seed))
-    step = StepRule(kind, D=2.0, L=3.0, n=n, K=K, C=1.5,
-                    T=T if kind.endswith("-fixed") else None)
-    sched = Schedule(step, WidthRule.coupled() if coupled else WidthRule.fixed(0.3))
-    got = sgd_run(F, X, starts, sched, "gaussian", K, T,
-                  [np.random.default_rng(seed + s) for s in range(S)], record_trajectory=True)
-    want = loop_sgd_run(F, X, starts, sched, "gaussian", K, T,
-                        [np.random.default_rng(seed + s) for s in range(S)],
-                        record_trajectory=True)
-    assert_same_record(got, want)
