@@ -24,6 +24,14 @@ chunk holds the same numbers as per-iteration draws and leaves the generator
 in the same state.  Step sizes and widths are likewise evaluated once per run,
 as arrays over ``t = 1..T``, and each iteration writes its probes into one
 fresh ``(S, 2K, n)`` array, since per-call numpy overhead is its main cost.
+
+For the same reason an iteration keeps no running sums and no best probe: it
+stores its iterate and its ``2K`` values per run, and the bookkeeping waits
+for the end of the chunk.  There one reduction over the chunk's iterates
+advances the plain and step-weighted sums with the adds, in the order, of
+sums updated every iteration, and the chunk's best probe -- the first
+minimum in ``(t, k)`` order -- is rebuilt as ``x_t +- h_t * y`` from the
+chunk's directions.  Memory stays bounded by the chunk, not by ``T``.
 """
 from __future__ import annotations
 
@@ -51,8 +59,11 @@ __all__ = [
 ITERATE_TOL = 1e-9
 
 # Directions drawn per run in one call: at most this many rows (and at least
-# one iteration's K), so the chunk's memory does not grow with T.
-_DRAW_ROWS = 4096
+# one iteration's K), so the chunk's memory does not grow with T.  A chunk
+# also keeps its iterates and probe values to its end, about twice the size
+# of its directions at K = 2, so its peak memory stays below that of a
+# 4096-row chunk of directions alone.
+_DRAW_ROWS = 512
 
 _STEP_KINDS = ("constant", "sphere-fixed", "sphere-decaying", "gaussian-fixed", "gaussian-decaying", "gaussian-vanishing")
 _BOUND_KINDS = ("sphere-fixed", "sphere-decaying", "sphere-vanishing", "gaussian-fixed", "gaussian-decaying", "gaussian-vanishing")
@@ -238,7 +249,8 @@ class RunRecord:
     already paid for by the estimator (no extra objective calls).  The best
     value need not dominate the value at either average; averaging and best
     tracking answer different questions.  ``trajectory`` holds the visited
-    iterates ``x_1..x_T`` when requested.
+    iterates ``x_1..x_T`` when requested, copied chunk by chunk from the
+    iterates the averages are summed from.
 
     A lockstep record gives every point a leading run axis (``(S, n)``; the
     trajectory is ``(T, S, n)``), one best value and one seed per run;
@@ -331,10 +343,16 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
 
     start = time.perf_counter()
     S, dim = x.shape
-    sum_x, sum_rho_x, sum_rho = np.zeros((S, dim)), np.zeros((S, dim)), 0.0
+    chunk = max(1, _DRAW_ROWS // K)
+    # a chunk's iterates x_t and products rho_t * x_t, after a row 0 that
+    # carries their sums over the chunks before (zero at first).  numpy sums
+    # the outer axis of a C-ordered array in order, as running sums would,
+    # while a row holds more than one number; a lone column (S = n = 1)
+    # would be summed pairwise, which the pair axis rules out
+    hist = np.zeros((min(chunk, T) + 1, 2, S, dim))
+    vals = np.empty((min(chunk, T), S, 2 * K))
     best_value, best_point, x_first = np.full(S, np.inf), x.copy(), x.copy()
     traj = np.empty((T, S, dim)) if record_trajectory else None
-    chunk = max(1, _DRAW_ROWS // K)
 
     for t, rho, h in zip(range(1, T + 1), rhos.tolist(), hs.tolist()):
         j = (t - 1) % chunk
@@ -342,31 +360,29 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
             rows = min(chunk, T - t + 1) * K
             block = np.stack([draw(dim, rows, g).reshape(-1, K, dim) for g in gens])
         Y = block[:, j]
-        if record_trajectory:
-            traj[t - 1] = x
-        sum_x += x
-        sum_rho_x += rho * x
-        sum_rho += rho
+        hist[j + 1, 0] = x
         try:
-            P, f = _two_point_batch(F, x, h, Y)
+            _, f = _two_point_batch(F, x, h, Y)
         except EvaluationError as err:
             raise err.with_context(iteration=t) from None
-        # best-point tracking reuses the probe evaluations already performed;
-        # argmin takes the first minimum, so plus probes win ties over minus
-        value = np.minimum.reduce(f, axis=1)
-        better = value < best_value
-        if better.any():
-            best_value[better] = value[better]
-            best_point[better] = P[better, f[better].argmin(axis=1)]
+        vals[j] = f
         quotients = (f[:, :K] - f[:, K:]) / (2.0 * h)
         eta = np.add.reduce(quotients[:, :, None] * Y, axis=1) / K
         x = X.project(x - rho * eta)
+        if j + 1 == block.shape[1]:  # the chunk's last iteration
+            done, xs = slice(t - j - 1, t), hist[1:j + 2, 0]
+            np.multiply(rhos[done, None, None], xs, out=hist[1:j + 2, 1])
+            hist[0] = np.add.reduce(hist[:j + 2], axis=0)
+            if traj is not None:
+                traj[done] = xs
+            _fold_best_probe(vals[:j + 1], xs, hs[done], block, best_value, best_point)
 
     record = RunRecord(
         x_first=x_first,
         x_last=x,
-        plain_average=sum_x / T,
-        weighted_average=sum_rho_x / sum_rho,
+        plain_average=hist[0, 0] / T,
+        # accumulate adds in order; a 1-D reduce would sum pairwise
+        weighted_average=hist[0, 1] / np.add.accumulate(rhos)[-1],
         best_point=best_point,
         best_value=best_value,
         evaluations=2 * K * T,
@@ -376,6 +392,29 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
         trajectory=traj,
     )
     return record.run(0) if single else record
+
+
+def _fold_best_probe(vals, xs, hs, Y, best_value, best_point):
+    """Fold a chunk's probe values into each run's best value and point, in place.
+
+    ``vals`` ``(C, S, 2K)`` holds the values of the chunk's iterations, ``xs``
+    ``(C, S, n)`` their iterates, ``hs`` their widths and ``Y`` ``(S, C, K, n)``
+    their directions.  The result is that of per-iteration tracking: an
+    iteration's value is ``np.minimum.reduce`` of its ``2K`` values, the first
+    iteration and then the first probe (plus probes before minus probes) at
+    the smallest value win, and they replace a run's best only when strictly
+    smaller.  The winning probe is rebuilt as ``x_t +- h_t * y``.
+    """
+    mins = np.minimum.reduce(vals, axis=2)
+    i = mins.argmin(axis=0)
+    runs = np.arange(len(i))
+    value = mins[i, runs]
+    k = vals[i, runs].argmin(axis=1)
+    K = Y.shape[2]
+    x, hy = xs[i, runs], hs[i, None] * Y[runs, i, k % K]
+    better = value < best_value
+    best_value[better] = value[better]
+    best_point[better] = np.where((k < K)[:, None], x + hy, x - hy)[better]
 
 
 def estimate_lipschitz(F: Callable, region: FeasibleSet, scale: float,

@@ -30,8 +30,9 @@ objective whose rows equal ``f`` of each row).  Two things make that hold:
   walk's midpoints depend only on its membership decisions, and its level
   count only on the exact stop test ``2**-k * length > tol``.  Box and Ball
   give the exit fraction ``s*`` in closed form; the midpoints its binary
-  expansion predicts are checked for membership for all rows and levels at
-  once.  A row whose decisions all equal the predicted ones took exactly
+  expansion predicts are checked for membership in one call over the whole
+  (row x level) grid, and a mask drops the levels past each row's own
+  count.  A row whose decisions all equal the predicted ones took exactly
   that path, so its ``lo`` is its largest feasible path midpoint.  Rows that
   disagree (rounding near the boundary), rows deeper than 52 levels and
   every row of a set without a closed form run the level-by-level
@@ -67,11 +68,17 @@ FEASIBILITY_TOL = 1e-12
 # Slack granted to user projection oracles before declaring a contract breach.
 ORACLE_TOL = 1e-9
 # Rows retracted together: a large batch, such as the Lipschitz estimate's,
-# queries at most 128 x 52 path points at once instead of all its rows' points.
+# checks at most 128 x 53 path points at once instead of all its rows' points.
 _CHUNK = 128
 # Deepest bisection level whose midpoint is an exact dyadic in float64.
 _EXACT_LEVELS = 52
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+# Per bisection level k = 0..52: k itself, the bracket width 2**-k, the
+# truncation scale 2**k and the midpoint offset 2**-(k+1).
+_LEVEL = np.arange(_EXACT_LEVELS + 1)
+_WIDTH = np.ldexp(1.0, -_LEVEL)
+_SCALE = np.ldexp(1.0, _LEVEL)
+_OFFSET = np.ldexp(0.5, -_LEVEL)
 
 
 class ContractViolationError(RuntimeError):
@@ -221,7 +228,8 @@ class Ball(FeasibleSet):
     def project(self, x):
         x = _as_point(x)
         d = x - self.center
-        norm = np.linalg.norm(d, axis=-1, keepdims=True)
+        # np.linalg.norm's formula for real input, without its wrapper
+        norm = np.sqrt(np.add.reduce(d * d, axis=-1, keepdims=True))
         outside = self.center + d * (self.radius / np.where(norm == 0, 1.0, norm))
         # keep interior points bit-identical, one point or many
         return np.where(norm <= self.radius, x, outside)
@@ -236,20 +244,22 @@ class Ball(FeasibleSet):
         return bool(np.all(np.linalg.norm(_as_point(x) - self.center, axis=-1) <= self.radius + tol))
 
     def contains_rows(self, X) -> np.ndarray:
-        # C order keeps each row's sum of squares that of the one-point call
-        X = np.ascontiguousarray(X, dtype=float)
-        return np.linalg.norm(X - self.center, axis=-1) <= self.radius + FEASIBILITY_TOL
+        # C order keeps each row's sum of squares that of the one-point call,
+        # which is np.linalg.norm's formula for real input
+        d = np.ascontiguousarray(X, dtype=float) - self.center
+        return np.sqrt(np.add.reduce(d * d, axis=-1)) <= self.radius + FEASIBILITY_TOL
 
     def exit_fraction(self, anchor, X):
-        # larger root of ||w + s*d||^2 = (radius + FEASIBILITY_TOL)^2, without cancellation
+        # larger root of ||w + s*d||^2 = (radius + FEASIBILITY_TOL)^2, without
+        # cancellation; a is |x - anchor|^2 > 0 on the infeasible rows it is asked for
         d = X - anchor
         w = anchor - self.center
-        a = np.einsum("ij,ij->i", d, d)
+        a = np.add.reduce(d * d, axis=-1)
         b = d @ w
         c = w @ w - (self.radius + FEASIBILITY_TOL) ** 2
         root = np.sqrt(np.maximum(b * b - a * c, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(b > 0, -c / (b + root), (root - b) / a)
+        up = b > 0
+        return np.where(up, -c, root - b) / np.where(up, b + root, a)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -363,7 +373,7 @@ def _retract(feasible: FeasibleSet, anchor: np.ndarray, X: np.ndarray,
              tol: float | None) -> np.ndarray:
     """Ray retraction of every row of ``X``, infeasible rows in chunks."""
     P = X.copy()
-    outside = np.flatnonzero(~feasible.contains_rows(X))
+    outside = (~feasible.contains_rows(X)).nonzero()[0]
     for start in range(0, outside.size, _CHUNK):
         rows = outside[start:start + _CHUNK]
         P[rows] = _bisect(feasible, anchor, X[rows], tol)
@@ -371,48 +381,41 @@ def _retract(feasible: FeasibleSet, anchor: np.ndarray, X: np.ndarray,
 
 
 def _bisect(feasible, anchor, X, tol):
-    """Retraction of infeasible rows: predicted bisection paths, the rest walked."""
+    """Retraction of infeasible rows: verified predicted bisection paths, the rest walked.
+
+    The walk runs level ``k`` while ``2**-k * length > tol``; there its
+    bracket's low end is the exit fraction ``s`` truncated to ``k`` binary
+    digits and its midpoint adds ``2**-(k+1)``, feasible exactly when at most
+    ``s``.  One membership call checks the predicted midpoints of every row
+    and level; ``queried`` masks out the levels past a row's own count.
+    """
     seg = X - anchor
     length = _row_norms(seg)
     tol = 1e-10 * length if tol is None else np.full(len(X), float(tol))
-    lo, walk = np.zeros(len(X)), np.ones(len(X), dtype=bool)
     s = feasible.exit_fraction(anchor, X)
-    if s is not None:
-        verified, lo = _predicted_path(feasible, anchor, seg, length, tol, s)
-        walk = ~verified
-    rows = np.flatnonzero(walk)
-    if rows.size:
-        lo[rows] = _walk(feasible, anchor, seg[rows], length[rows], tol[rows])
+    if s is None:
+        lo = _walk(feasible, anchor, seg, length, tol)
+    else:
+        levels = np.add.reduce(_WIDTH * length[:, None] > tol[:, None], axis=1)
+        depth = np.maximum.reduce(levels)
+        s = np.fmin(np.fmax(s, 0.0), _BELOW_ONE)[:, None]  # NaN -> 0
+        mid = np.floor(s * _SCALE[:depth]) / _SCALE[:depth] + _OFFSET[:depth]
+        inside = mid <= s
+        queried = _LEVEL[:depth] < levels[:, None]
+        points = anchor + mid[:, :, None] * seg[:, None]
+        actual = feasible.contains_rows(points.reshape(-1, seg.shape[1])).reshape(mid.shape)
+        wrong = np.logical_or.reduce(queried & (actual != inside), axis=1)
+        lo = np.maximum.reduce(mid, axis=1, where=queried & inside, initial=0.0)
+        rows = (wrong | (levels > _EXACT_LEVELS)).nonzero()[0]
+        if rows.size:
+            lo[rows] = _walk(feasible, anchor, seg[rows], length[rows], tol[rows])
     return anchor + lo[:, None] * seg
-
-
-def _predicted_path(feasible, anchor, seg, length, tol, s):
-    """Rows whose bisection the exit fractions ``s`` predict, and their ``lo``.
-
-    The walk runs level ``k`` while ``2**-k * length > tol``; there its
-    bracket's low end is ``s`` truncated to ``k`` binary digits and its
-    midpoint adds ``2**-(k+1)``, feasible exactly when at most ``s``.
-    """
-    k = np.arange(_EXACT_LEVELS + 1)
-    levels = (np.ldexp(1.0, -k) * length[:, None] > tol[:, None]).sum(axis=1)
-    k = k[:levels.max()]
-    s = np.fmin(np.fmax(s, 0.0), _BELOW_ONE)[:, None]  # NaN -> 0
-    scale = np.ldexp(1.0, k)
-    mid = np.floor(s * scale) / scale + np.ldexp(0.5, -k)
-    inside = mid <= s
-    queried = k < levels[:, None]
-    row = np.nonzero(queried)[0]
-    actual = feasible.contains_rows(anchor + mid[queried][:, None] * seg[row])
-    verified = levels <= _EXACT_LEVELS
-    verified[row[actual != inside[queried]]] = False
-    lo = np.max(mid, axis=1, where=queried & inside, initial=0.0)
-    return verified, lo
 
 
 def _walk(feasible, anchor, seg, length, tol):
     """The level-by-level bisection, batched over rows; returns each row's ``lo``."""
     lo, hi = np.zeros(len(seg)), np.ones(len(seg))
-    active = np.flatnonzero((hi - lo) * length > tol)
+    active = ((hi - lo) * length > tol).nonzero()[0]
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         inside = feasible.contains_rows(anchor + mid[:, None] * seg[active])

@@ -166,11 +166,20 @@ class PolygonProblem:
         return self.boxes().sample(1, rng)[0]
 
     def ideal_value(self) -> float:
+        """Largest area of a small polygon (diameter 1) with n vertices, where known.
+
+        Odd n: Reinhardt's regular n-gon, ``n*sin(2pi/n) / (8*cos(pi/(2n))**2)``
+        (``sqrt(3)/4`` for the triangle).  n = 4: 1/2; n = 6: 0.674981 (Graham
+        1975); n = 8: 0.726868 (Audet, Hansen, Messine & Xiong 2002).  Any
+        other even n gets pi/4, the area of the circle of diameter 1: the
+        circle-limit upper bound, not the optimum.
+        """
         if self.n == 3:
             return math.sqrt(3.0) / 4.0
-        if self.n == 4:
-            return 0.5
-        return math.pi / 4.0
+        if self.n % 2:
+            return self.n * math.sin(2.0 * math.pi / self.n) / (
+                8.0 * math.cos(math.pi / (2.0 * self.n)) ** 2)
+        return {4: 0.5, 6: 0.674981, 8: 0.726868}.get(self.n, math.pi / 4.0)
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,7 @@ def _evaluate(F: Callable, points: np.ndarray) -> np.ndarray:
     vals = np.asarray(F(flat), dtype=float)
     if vals.shape != (flat.shape[0],):
         raise ValueError(f"objective returned shape {vals.shape}, expected ({flat.shape[0]},)")
-    if not np.isfinite(vals).all():
+    if not np.logical_and.reduce(np.isfinite(vals)):
         i = int(np.argmax(~np.isfinite(vals)))
         run = i // points.shape[1] if points.ndim == 3 else None
         raise EvaluationError(flat[i], vals[i], run=run)

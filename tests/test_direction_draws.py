@@ -1,7 +1,7 @@
 """Chunked direction draws: ``sgd_run`` equals the per-iteration draw loop bit for bit."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smoothopt import continuation, optimizer
 from smoothopt.continuation import SmoothingPlan, successive_smoothing
@@ -64,6 +64,23 @@ def problem(n: int):
     return (lambda Z: np.abs(Z - c).sum(axis=-1)), Box(-np.ones(n), np.ones(n))
 
 
+def plateau_problem(n: int):
+    """Integer plateaus of the l1 distance to a point in the box.
+
+    Probe values tie within an iteration, across iterations and across
+    chunks, and the zero plateau reads -0.0 on one side of a hyperplane
+    and 0.0 on the other, so the best probe's tie rule and the sign of its
+    value both show.
+    """
+    c = np.linspace(-0.5, 0.5, n)
+
+    def F(Z):
+        v = np.floor(2.0 * np.abs(Z - c).sum(axis=-1))
+        return np.where(v == 0.0, np.copysign(0.0, Z[:, 0] - c[0]), v)
+
+    return F, Box(-np.ones(n), np.ones(n))
+
+
 def assert_same_record(a, b):
     for name in ("x_first", "x_last", "plain_average", "weighted_average", "best_point",
                  "best_value", "trajectory"):
@@ -81,16 +98,21 @@ DRAWS = dict(S=st.integers(1, 4), K=st.integers(1, 12), n=st.integers(1, 40),
              seed=st.integers(0, 2 ** 32 - 1))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(**DRAWS, kind=st.sampled_from(["constant", "sphere-fixed", "sphere-decaying",
                                      "gaussian-fixed", "gaussian-decaying",
                                      "gaussian-vanishing"]),
-       coupled=st.booleans())
+       coupled=st.booleans(), plateau=st.booleans(), trajectory=st.booleans())
+# one run in one dimension over a long chunk: summing a single column over t
+# must stay the loop's left-to-right adds, not numpy's pairwise sum
+@example(S=1, K=1, n=1, T=200, draw_rows=4096, kernel="gaussian", seed=3, kind="constant",
+         coupled=False, plateau=False, trajectory=False)
 def test_chunked_sgd_run_equals_per_iteration_loop(S, K, n, T, draw_rows, kernel, seed,
-                                                   kind, coupled):
-    # sgd_run also evaluates rho_t and h_t for the whole run at once; the loop
-    # calls schedule.values(t) every iteration
-    F, X = problem(n)
+                                                   kind, coupled, plateau, trajectory):
+    # sgd_run also evaluates rho_t and h_t for the whole run at once, sums the
+    # iterates and picks the best probe once per chunk; the loop does each
+    # every iteration
+    F, X = (plateau_problem if plateau else problem)(n)
     starts = X.sample(S, np.random.default_rng(seed))
     step = (StepRule.constant(0.4) if kind == "constant" else
             StepRule(kind, D=2.0, L=3.0, n=n, K=K, C=1.5,
@@ -100,8 +122,8 @@ def test_chunked_sgd_run_equals_per_iteration_loop(S, K, n, T, draw_rows, kernel
     loop = [np.random.default_rng(seed + s) for s in range(S)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "_DRAW_ROWS", draw_rows)
-        got = sgd_run(F, X, starts, sched, kernel, K, T, ours, record_trajectory=True)
-    want = loop_sgd_run(F, X, starts, sched, kernel, K, T, loop, record_trajectory=True)
+        got = sgd_run(F, X, starts, sched, kernel, K, T, ours, record_trajectory=trajectory)
+    want = loop_sgd_run(F, X, starts, sched, kernel, K, T, loop, record_trajectory=trajectory)
     assert_same_record(got, want)
     assert states(ours) == states(loop)
     # the generator goes on exactly where the loop's does

@@ -349,17 +349,29 @@ def _perfbench(name):
     return module
 
 
+def _replay_workload(tmp_path, name, size, index):
+    """Run one input set of a benchmark workload and check it against ``reference.json``."""
+    W = _perfbench("workloads")
+    reference = W.reference_for(W.load_reference(), name, size, index)
+    cfg = parse_config(W.WORKLOADS[name].config(index, size, str(tmp_path / name)))
+    csv_path, outcomes = execute_config(cfg)
+    data = csv_path.read_bytes()
+    assert data.decode("utf-8").split("\r\n")[1:-1] == reference["rows"]
+    assert hashlib.sha256(data).hexdigest() == reference["csv_sha256"]
+    assert [o.record["evaluations"] for o in outcomes] == reference["evaluations"]
+
+
 class TestBenchmarkReference:
     @pytest.mark.parametrize("name", ["polygon-n4", "ball-ray"])
     def test_tiny_workload_reproduces_reference(self, tmp_path, name):
-        W = _perfbench("workloads")
-        reference = W.reference_for(W.load_reference(), name, "tiny", 0)
-        cfg = parse_config(W.WORKLOADS[name].config(0, "tiny", str(tmp_path / name)))
-        csv_path, outcomes = execute_config(cfg)
-        data = csv_path.read_bytes()
-        assert data.decode("utf-8").split("\r\n")[1:-1] == reference["rows"]
-        assert hashlib.sha256(data).hexdigest() == reference["csv_sha256"]
-        assert [o.record["evaluations"] for o in outcomes] == reference["evaluations"]
+        _replay_workload(tmp_path, name, "tiny", 0)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("index", range(32))
+    @pytest.mark.parametrize("name", ["polygon-n4", "ball-ray"])
+    def test_full_workload_reproduces_reference(self, tmp_path, name, index):
+        # every recorded full input set, byte for byte: about a minute in all
+        _replay_workload(tmp_path, name, "full", index)
 
 
 class TestBenchmarkPatchPoints:

@@ -42,11 +42,31 @@ def reference_ray_retraction(feasible, anchor, x, tol=None):
     return anchor + lo * seg
 
 
+def _mispredict(s):
+    return np.abs(np.sin(1e3 * s))
+
+
 class MispredictedBall(Ball):
     """A ball whose closed-form exit fraction is wrong, forcing the walk."""
 
     def exit_fraction(self, anchor, X):
-        return np.abs(np.sin(1e3 * super().exit_fraction(anchor, X)))
+        return _mispredict(super().exit_fraction(anchor, X))
+
+
+class MispredictedBox(Box):
+    """A box whose closed-form exit fraction is wrong, forcing the walk."""
+
+    def exit_fraction(self, anchor, X):
+        return _mispredict(super().exit_fraction(anchor, X))
+
+
+class HalfMispredictedBall(Ball):
+    """A ball that mispredicts every other row: verified and walked rows mix in one batch."""
+
+    def exit_fraction(self, anchor, X):
+        s = super().exit_fraction(anchor, X)
+        s[::2] = _mispredict(s[::2])
+        return s
 
 
 def _ball_oracle(center, radius):
@@ -59,13 +79,16 @@ def make_set(kind, n, rng):
     radius = float(rng.uniform(0.1, 3.0))
     lower = center - rng.uniform(0.0, 2.0, size=n)
     upper = center + rng.uniform(0.05, 2.0, size=n)
-    if kind == "box":
-        return Box(lower, upper), lower + rng.uniform(0.0, 1.0, size=n) * (upper - lower)
+    if kind in ("box", "mispredicted-box"):
+        cls = Box if kind == "box" else MispredictedBox
+        return cls(lower, upper), lower + rng.uniform(0.0, 1.0, size=n) * (upper - lower)
     anchor = center + rng.uniform(-1.0, 1.0, size=n) * radius / np.sqrt(n)
     if kind == "ball":
         return Ball(center, radius), anchor
     if kind == "mispredicted-ball":
         return MispredictedBall(center, radius), anchor
+    if kind == "half-mispredicted-ball":
+        return HalfMispredictedBall(center, radius), anchor
     if kind == "custom-oracle":  # membership from the projection residual
         return CustomSet(oracle=_ball_oracle(center, radius)), anchor
     # membership from explicit constraint functions
@@ -94,14 +117,16 @@ def make_rows(feasible, anchor, m, rng):
     return X
 
 
-SET_KINDS = ["box", "ball", "mispredicted-ball", "custom-oracle", "custom-constraints"]
+SET_KINDS = ["box", "ball", "mispredicted-box", "mispredicted-ball", "half-mispredicted-ball",
+             "custom-oracle", "custom-constraints"]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(SET_KINDS), seed=st.integers(0, 2**32 - 1),
        n=st.integers(1, 6), m=st.sampled_from([1, 2, 7, 40, 300]),
        tol=st.sampled_from([None, 1e-3, 1e-13, 1e-20]))
 def test_batch_retraction_equals_one_point_loop(kind, seed, n, m, tol):
+    # a fixed tol gives rows of different lengths different level counts
     rng = np.random.default_rng(seed)
     feasible, anchor = make_set(kind, n, rng)
     X = make_rows(feasible, anchor, m, rng)
@@ -176,6 +201,47 @@ def test_contains_rows_equals_contains(kind, seed, n, m):
     feasible, anchor = make_set(kind, n, rng)
     X = make_rows(feasible, anchor, m, rng)
     assert feasible.contains_rows(X).tolist() == [feasible.contains(x) for x in X]
+
+
+def linalg_norm_ball_project(ball, x):
+    """``Ball.project`` as it was, through ``np.linalg.norm``."""
+    x = np.asarray(x, dtype=float)
+    d = x - ball.center
+    norm = np.linalg.norm(d, axis=-1, keepdims=True)
+    outside = ball.center + d * (ball.radius / np.where(norm == 0, 1.0, norm))
+    return np.where(norm <= ball.radius, x, outside)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 30),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_ball_norms_equal_the_linalg_norm_form(seed, n, m, layout):
+    # n >= 8 sums squares pairwise along a contiguous row; F-ordered and
+    # strided input take other summation orders, which must match too
+    rng = np.random.default_rng(seed)
+    ball = Ball(rng.uniform(-2.0, 2.0, size=n), float(rng.uniform(0.1, 3.0)))
+    u = rng.standard_normal((m, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    # rows on the membership boundary, a few ulps either side, and far out
+    scale = ball.radius + penalty.FEASIBILITY_TOL * rng.choice([0.0, 1.0, 2.0], size=(m, 1))
+    X = ball.center + u * scale * rng.choice([1.0, 1.0 + 1e-15, 1.0 - 1e-15, 3.0], size=(m, 1))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided":
+        X = np.repeat(X, 2, axis=1)[:, ::2]
+    want = np.linalg.norm(np.ascontiguousarray(X) - ball.center, axis=-1)
+    assert ball.contains_rows(X).tolist() == \
+        (want <= ball.radius + penalty.FEASIBILITY_TOL).tolist()
+    for i, norm in enumerate(want):
+        # thresholds radius + TOL on a row's norm and an ulp below it: a
+        # norm off by one ulp either way flips one of the two decisions
+        r = norm - penalty.FEASIBILITY_TOL
+        for radius in (r, np.nextafter(r, -np.inf)):
+            if radius > 0:
+                got = Ball(ball.center, radius).contains_rows(X)[i]
+                assert got == (norm <= float(radius) + penalty.FEASIBILITY_TOL)
+    assert ball.project(X).tobytes() == linalg_norm_ball_project(ball, X).tobytes()
+    assert ball.project(X[0]).tobytes() == linalg_norm_ball_project(ball, X[0]).tobytes()
 
 
 def test_penalized_batch_checks_set_and_anchor_up_front():

@@ -130,9 +130,18 @@ class TestPolygonPenalized:
             PolygonProblem(3).penalized(np.zeros(4))
 
     def test_ideal_values(self):
-        assert PolygonProblem(3).ideal_value() == pytest.approx(SQRT3_4)
+        assert PolygonProblem(3).ideal_value() == math.sqrt(3.0) / 4.0  # the CSVs keep its bits
         assert PolygonProblem(4).ideal_value() == 0.5
-        assert PolygonProblem(20).ideal_value() == pytest.approx(math.pi / 4)
+        assert PolygonProblem(20).ideal_value() == math.pi / 4  # circle-limit bound
+        # Reinhardt's regular polygons for odd n, the known optima for n = 6 and 8
+        for n, area in ((5, 0.657164), (6, 0.674981), (7, 0.719741), (8, 0.726868),
+                        (9, 0.745619)):
+            assert PolygonProblem(n).ideal_value() == pytest.approx(area, abs=5e-7), n
+        for n in (10, 12):
+            assert PolygonProblem(n).ideal_value() == math.pi / 4
+        # each known value lies below the circle limit, and grows with n
+        values = [PolygonProblem(n).ideal_value() for n in range(3, 10)]
+        assert values == sorted(values) and values[-1] < math.pi / 4
 
 
 class TestCalibration:
