@@ -18,10 +18,11 @@ so a run in a lockstep batch reproduces the same run alone bit for bit.
 
 The directions depend only on a run's generator, never on its iterate or
 width, so they are drawn ahead of the iterations that use them: one call per
-run for a chunk of iterations, in run order, and never beyond the run's last
-iteration.  ``Generator.standard_normal`` fills arrays in stream order, so a
-chunk holds the same numbers as per-iteration draws and leaves the generator
-in the same state.  Step sizes and widths are likewise evaluated once per run,
+run for a chunk of iterations, in run order, written in place into that run's
+slice of one chunk array, and never beyond the run's last iteration.
+``Generator.standard_normal`` fills arrays in stream order, so a chunk holds
+the same numbers as per-iteration draws and leaves the generator in the same
+state.  Step sizes and widths are likewise evaluated once per run,
 as arrays over ``t = 1..T``, and each iteration writes its probes into one
 fresh ``(S, 2K, n)`` array, since per-call numpy overhead is its main cost.
 
@@ -358,7 +359,9 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
         j = (t - 1) % chunk
         if j == 0:
             rows = min(chunk, T - t + 1) * K
-            block = np.stack([draw(dim, rows, g).reshape(-1, K, dim) for g in gens])
+            block = np.empty((S, rows // K, K, dim))
+            for s, g in enumerate(gens):
+                draw(dim, rows, g, out=block[s].reshape(rows, dim))
         Y = block[:, j]
         hist[j + 1, 0] = x
         try:

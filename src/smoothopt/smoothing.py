@@ -26,12 +26,19 @@ draws and values do not depend on which other runs share the call.
 
 The directions do not depend on the iterate or the width either, so
 :func:`smoothopt.optimizer.sgd_run` draws them per chunk of iterations: one
-:meth:`Kernel.sample_directions` call per run and chunk, in run order.
+:meth:`Kernel.sample_directions` call per run and chunk, in run order,
+written through ``out=`` into that run's slice of one preallocated block.
 ``Generator.standard_normal`` fills in stream order, so a chunk holds the
 numbers per-iteration draws would.  The one difference is the sphere
 kernel's re-draw of an all-zero normal row, which comes after the whole
 chunk instead of right after that iteration's rows.  It needs every
 coordinate of a row to be exactly 0.0, so no realizable run changes.
+
+:meth:`Kernel.sample_smoothing_points` streams the same way: it fills one
+preallocated array in fixed row blocks, so its temporaries stay
+block-sized, and the numbers are those of one whole-array draw.  Again only
+an all-zero normal row differs: it is re-drawn after its block, not after
+the whole draw.
 """
 from __future__ import annotations
 
@@ -51,6 +58,10 @@ __all__ = [
 ]
 
 _VARIANTS = ("sphere", "gaussian")
+
+# Rows per direction draw in Kernel.sample_smoothing_points: bounds the
+# temporaries of the sphere normalisation.
+_SMOOTHING_BLOCK_ROWS = 8192
 
 
 class EvaluationError(RuntimeError):
@@ -113,31 +124,45 @@ class Kernel:
     def gaussian(cls, h: float) -> "Kernel":
         return cls("gaussian", h)
 
-    def sample_directions(self, dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_directions(self, dimension: int, count: int, rng: np.random.Generator,
+                          out: np.ndarray | None = None) -> np.ndarray:
         """Draw `count` finite-difference directions, shape ``(count, dimension)``.
 
         Deterministic given the stream state.  The sphere kernel re-draws
         all-zero rows in place, after the whole draw, so none is dropped.
+        With `out`, a C-contiguous ``(count, dimension)`` array, the
+        directions are written there and `out` is returned.
         """
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        g = rng.standard_normal((count, dimension))
+        g = rng.standard_normal((count, dimension), out=out)
         if self.variant == "gaussian":
             return g
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        # np.linalg.norm's own formula for real rows
+        norms = np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
         # a zero draw has probability zero; resample defensively anyway
         while np.any(norms == 0.0):
             bad = norms[:, 0] == 0.0
             g[bad] = rng.standard_normal((int(bad.sum()), dimension))
-            norms = np.linalg.norm(g, axis=1, keepdims=True)
-        return g / norms
+            norms = np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
+        g /= norms
+        return g
 
     def sample_smoothing_points(self, dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw from the smoothing measure itself: ball-uniform for the sphere
-        variant (directions scaled by ``U**(1/n)``), standard normal otherwise."""
-        z = self.sample_directions(dimension, count, rng)
+        variant (directions scaled by ``U**(1/n)``), standard normal otherwise.
+
+        The directions are drawn in blocks of ``_SMOOTHING_BLOCK_ROWS`` rows
+        into one array, then, for the sphere, all ``count`` radii ``U``.
+        """
+        z = np.empty((count, dimension))
+        for start in range(0, count, _SMOOTHING_BLOCK_ROWS):
+            block = z[start:start + _SMOOTHING_BLOCK_ROWS]
+            self.sample_directions(dimension, len(block), rng, out=block)
         if self.variant == "sphere":
-            z = z * (rng.random(count) ** (1.0 / dimension))[:, None]
+            u = rng.random(count)
+            u **= 1.0 / dimension
+            z *= u[:, None]
         return z
 
     def gradient_scale(self, dimension: int) -> float:

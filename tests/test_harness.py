@@ -12,6 +12,7 @@ import pytest
 from smoothopt.harness.cli import main
 from smoothopt.harness.config import ConfigError, load_config, parse_config
 from smoothopt.harness.runner import CSV_COLUMNS, execute_config
+from smoothopt.harness.validate import gradient_suite
 
 
 BASE = {
@@ -353,7 +354,12 @@ def _replay_workload(tmp_path, name, size, index):
     """Run one input set of a benchmark workload and check it against ``reference.json``."""
     W = _perfbench("workloads")
     reference = W.reference_for(W.load_reference(), name, size, index)
-    cfg = parse_config(W.WORKLOADS[name].config(index, size, str(tmp_path / name)))
+    workload = W.WORKLOADS[name]
+    if workload.kind == "suite":
+        checks = gradient_suite(**workload.kwargs(index, size))
+        assert [c.line() for c in checks] == reference["lines"]
+        return
+    cfg = parse_config(workload.config(index, size, str(tmp_path / name)))
     csv_path, outcomes = execute_config(cfg)
     data = csv_path.read_bytes()
     assert data.decode("utf-8").split("\r\n")[1:-1] == reference["rows"]
@@ -361,16 +367,20 @@ def _replay_workload(tmp_path, name, size, index):
     assert [o.record["evaluations"] for o in outcomes] == reference["evaluations"]
 
 
+WORKLOAD_NAMES = ["polygon-n4", "ball-ray", "validate-gradient"]
+
+
 class TestBenchmarkReference:
-    @pytest.mark.parametrize("name", ["polygon-n4", "ball-ray"])
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_tiny_workload_reproduces_reference(self, tmp_path, name):
         _replay_workload(tmp_path, name, "tiny", 0)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("index", range(32))
-    @pytest.mark.parametrize("name", ["polygon-n4", "ball-ray"])
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_full_workload_reproduces_reference(self, tmp_path, name, index):
-        # every recorded full input set, byte for byte: about a minute in all
+        # every recorded full input set, byte for byte (the suite's check
+        # lines for validate-gradient): about two minutes in all
         _replay_workload(tmp_path, name, "full", index)
 
 

@@ -74,9 +74,13 @@ class TestKernel:
             def __init__(self):
                 self.shapes = []
 
-            def standard_normal(self, shape):
+            def standard_normal(self, shape, out=None):
                 self.shapes.append(shape)
-                return first.copy() if len(self.shapes) == 1 else np.full(shape, 2.0)
+                g = first.copy() if len(self.shapes) == 1 else np.full(shape, 2.0)
+                if out is None:
+                    return g
+                out[...] = g
+                return out
 
         stream = ZeroRowStream()
         d = Kernel.sphere(1.0).sample_directions(3, 12, stream)
