@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .penalty import Box, FeasibleSet
+from .smoothing import _row_sum
 
 __all__ = [
     "PolygonProblem",
@@ -206,7 +207,7 @@ def _l1(n: int) -> CalibrationFunction:
     return CalibrationFunction(
         name="l1-norm", dimension=n,
         fn=lambda x: float(np.abs(np.asarray(x, dtype=float)).sum()),
-        batch=lambda X: np.abs(np.asarray(X, dtype=float)).sum(axis=-1),
+        batch=lambda X: _row_sum(np.abs, np.asarray(X, dtype=float)),
         domain=Box(-np.ones(n), np.ones(n)),
         minimizer=np.zeros(n), min_value=0.0,
         lipschitz=math.sqrt(n),

@@ -38,7 +38,9 @@ coordinate of a row to be exactly 0.0, so no realizable run changes.
 preallocated array in fixed row blocks, so its temporaries stay
 block-sized, and the numbers are those of one whole-array draw.  Again only
 an all-zero normal row differs: it is re-drawn after its block, not after
-the whole draw.
+the whole draw.  Its sphere norms, like the l1 objective's rows, are summed
+by ``_row_sum``: short rows a whole column at a time, in the left-to-right
+order numpy uses for them anyway, so the bits do not change.
 """
 from __future__ import annotations
 
@@ -62,6 +64,17 @@ _VARIANTS = ("sphere", "gaussian")
 # Rows per direction draw in Kernel.sample_smoothing_points: bounds the
 # temporaries of the sphere normalisation.
 _SMOOTHING_BLOCK_ROWS = 8192
+
+
+def _row_sum(op, X):
+    """``np.add.reduce(op(X), axis=-1)`` for an elementwise ufunc `op`, bit for bit.
+
+    numpy adds fewer than 8 terms left to right in any layout, but reduces a
+    short C-order last axis one row per inner loop; a column-major ``op(X)``
+    is summed a whole column at a time.  From 8 terms on a contiguous row is
+    summed pairwise, so there the layout is kept.
+    """
+    return np.add.reduce(op(X, order="F" if X.shape[-1] < 8 else "K"), axis=-1)
 
 
 class EvaluationError(RuntimeError):
@@ -138,14 +151,12 @@ class Kernel:
         g = rng.standard_normal((count, dimension), out=out)
         if self.variant == "gaussian":
             return g
-        # np.linalg.norm's own formula for real rows
-        norms = np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
-        # a zero draw has probability zero; resample defensively anyway
-        while np.any(norms == 0.0):
-            bad = norms[:, 0] == 0.0
+        # np.linalg.norm's own formula for real rows; a zero draw has
+        # probability zero, but is re-drawn defensively anyway
+        while not (norms := np.sqrt(_row_sum(np.square, g))).all():
+            bad = norms == 0.0
             g[bad] = rng.standard_normal((int(bad.sum()), dimension))
-            norms = np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
-        g /= norms
+        g /= norms[:, None]
         return g
 
     def sample_smoothing_points(self, dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -261,7 +272,9 @@ def smoothed_value(F: Callable, x, kernel: Kernel, N: int,
         raise ValueError("sample count N must be at least 1")
     x = np.asarray(x, dtype=float)
     Z = kernel.sample_smoothing_points(x.size, N, rng)
-    vals = _evaluate(F, x + kernel.h * Z)
+    Z *= kernel.h
+    Z += x
+    vals = _evaluate(F, Z)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(N)) if N > 1 else float("nan")
     return SmoothedValue(value=mean, std_error=se, samples=N)
@@ -281,5 +294,5 @@ def second_moment_check(F: Callable, x, kernel: Kernel, K_probe: int,
     Y = kernel.sample_directions(x.size, K_probe, rng)
     _, f = _two_point_batch(F, x[None], kernel.h, Y[None])
     quotients = (f[0, :K_probe] - f[0, K_probe:]) / (2.0 * kernel.h)
-    sq_norms = quotients ** 2 * (Y ** 2).sum(axis=1)
+    sq_norms = quotients ** 2 * _row_sum(np.square, Y)
     return float(sq_norms.mean())
