@@ -61,9 +61,10 @@ def _cmd_validate(args) -> int:
         print(f"error: unknown suite {args.suite!r}; known: {sorted(SUITES)}",
               file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.suite == "rate" and args.checkpoints:
-        kwargs["checkpoints"] = tuple(args.checkpoints)
+    if args.checkpoints is not None and args.suite != "rate":
+        print(f"error: --checkpoints is for the rate suite, not {args.suite!r}", file=sys.stderr)
+        return 2
+    kwargs = {} if args.checkpoints is None else {"checkpoints": tuple(args.checkpoints)}
     try:
         checks = suite(**kwargs)
     except ValueError as exc:

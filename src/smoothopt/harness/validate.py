@@ -19,7 +19,7 @@ import numpy as np
 from ..optimizer import StepRule, Schedule, WidthRule, sgd_run, rate_bound
 from ..penalty import Ball, Box, CustomSet, PenaltySpec, penalize
 from ..problems import calibration
-from ..smoothing import Kernel, grad_estimate, second_moment_check, smoothed_value
+from ..smoothing import Kernel, _order, grad_estimate, second_moment_check, smoothed_value
 
 __all__ = ["Check", "gradient_suite", "moments_suite", "rate_suite",
            "penalty_suite", "exactness_checks", "lipschitz_checks",
@@ -47,8 +47,16 @@ class Check:
 _ORACLE_BLOCK_ROWS = 8192
 
 
+def _mean_se(d):
+    """``d.mean()`` and ``d.std(ddof=1) / sqrt(N)`` by numpy's own steps, in place on `d`."""
+    mean = np.add.reduce(d) / d.size
+    d -= mean
+    d *= d
+    return mean, np.sqrt(np.add.reduce(d) / (d.size - 1)) / math.sqrt(d.size)
+
+
 def quadrature_gradient(batch_f, x, kernel: Kernel, samples: int,
-                        rng: np.random.Generator, delta_frac: float = 0.02):
+                        rng: np.random.Generator, delta_frac: float = 0.02, *, work=None):
     """Central-difference gradient of the smoothed function, with its SE.
 
     One set of kernel draws is shared by both sides of every coordinate
@@ -56,42 +64,43 @@ def quadrature_gradient(batch_f, x, kernel: Kernel, samples: int,
     cancels and the standard error comes from the paired differences
     themselves.  Independent of the two-point estimator by construction.
 
-    Memory is bounded by streaming: the shifted draws ``x + h*z`` are formed
-    in place in the ``(samples, n)`` draw array, and for each coordinate the
-    probes ``s +- delta*e_i`` go to ``batch_f`` in blocks of
-    ``_ORACLE_BLOCK_ROWS`` rows through two fixed buffers (two, so that an
-    objective may return a view of its input).  Only the paired differences
-    are kept whole, in one ``samples``-long array, so the mean and standard
-    error are single calls over all of them.  The numbers equal the
-    whole-array form's bit for bit.
+    Memory is one ``(samples, n)`` array, the head of `work` (C-contiguous
+    float64, reusable across calls; new when None), where the draws become
+    ``s = x + h*z`` in place.  In blocks of ``_ORACLE_BLOCK_ROWS`` rows,
+    coordinates inside, the probes ``s +- delta*e_i`` go to ``batch_f``
+    through two fixed buffers (so an objective may return a view of its
+    input); the block's paired differences, gathered in a third, overwrite
+    it, and :func:`_mean_se` works in place on each column.  Bit for bit.
     """
     if samples < 2:
         raise ValueError("the oracle needs at least 2 samples for its standard error")
+    if not delta_frac > 0:
+        raise ValueError(f"delta_frac must be positive, got {delta_frac}")
     x = np.asarray(x, dtype=float)
     n = x.size
-    shifted = kernel.sample_smoothing_points(n, samples, rng)
+    work = np.empty(samples * n) if work is None else work
+    if work.dtype != np.float64 or not work.flags.c_contiguous or work.size < samples * n:
+        raise ValueError(f"work must be C-contiguous float64 with at least {samples * n} entries")
+    shifted = kernel.sample_smoothing_points(n, samples, rng,
+                                             out=work.reshape(-1)[:samples * n].reshape(samples, n))
     shifted *= kernel.h
-    shifted += x
+    np.add(shifted, x, out=shifted, order=_order(shifted))
     delta = delta_frac * kernel.h
     rows = min(samples, _ORACLE_BLOCK_ROWS)
-    plus, minus = np.empty((rows, n)), np.empty((rows, n))
-    d = np.empty(samples)
-    grad = np.empty(n)
-    se = np.empty(n)
-    for i in range(n):
-        for start in range(0, samples, rows):
-            s = shifted[start:start + rows]
-            p, m, out = plus[:len(s)], minus[:len(s)], d[start:start + rows]
+    plus, minus, diffs = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
+    for start in range(0, samples, rows):
+        s = shifted[start:start + rows]
+        p, m, d = plus[:len(s)], minus[:len(s)], diffs[:len(s)]
+        for i in range(n):
             # adding and subtracting 0.0 elsewhere is s +- e to the bit,
             # signed zeros included
             np.add(s, 0.0, out=p)
             np.add(s[:, i], delta, out=p[:, i])
             np.subtract(s, 0.0, out=m)
             np.subtract(s[:, i], delta, out=m[:, i])
-            np.subtract(batch_f(p), batch_f(m), out=out)
-            out /= 2.0 * delta
-        grad[i] = d.mean()
-        se[i] = d.std(ddof=1) / math.sqrt(samples)
+            np.subtract(batch_f(p), batch_f(m), out=d[:, i])
+        np.divide(d, 2.0 * delta, out=s)
+    grad, se = np.transpose([_mean_se(column) for column in shifted.T])
     return grad, se
 
 
@@ -117,9 +126,12 @@ def gradient_suite(*, dims=(1, 2, 3), widths=(0.5, 0.1), kernels=("sphere", "gau
     deviation in combined standard errors; a non-finite deviation fails.
     """
     for name, value, least in (("points", points, 1), ("replicates", replicates, 2),
-                               ("batch", batch, 1), ("oracle_samples", oracle_samples, 2)):
+                               ("batch", batch, 1), ("oracle_samples", oracle_samples, 2),
+                               ("len(dims)", len(dims), 1), ("len(kernels)", len(kernels), 1),
+                               ("len(widths)", len(widths), 1)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    work = np.empty(oracle_samples * max(dims))  # every oracle call draws into it
     rng = np.random.default_rng(seed)
     checks = []
     for n in dims:
@@ -131,7 +143,7 @@ def gradient_suite(*, dims=(1, 2, 3), widths=(0.5, 0.1), kernels=("sphere", "gau
                 for _ in range(points):
                     x = rng.uniform(-1.0, 1.0, size=n)
                     est, est_se = _estimator_mean(f, x, kernel, replicates, batch, rng)
-                    orc, orc_se = quadrature_gradient(f, x, kernel, oracle_samples, rng)
+                    orc, orc_se = quadrature_gradient(f, x, kernel, oracle_samples, rng, work=work)
                     # floor the SE at rounding scale: in locally affine regions
                     # both sides are deterministic and agree to machine epsilon
                     combined = np.maximum(np.sqrt(est_se ** 2 + orc_se ** 2), 1e-9)

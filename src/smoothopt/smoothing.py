@@ -34,13 +34,13 @@ kernel's re-draw of an all-zero normal row, which comes after the whole
 chunk instead of right after that iteration's rows.  It needs every
 coordinate of a row to be exactly 0.0, so no realizable run changes.
 
-:meth:`Kernel.sample_smoothing_points` streams the same way: it fills one
-preallocated array in fixed row blocks, so its temporaries stay
-block-sized, and the numbers are those of one whole-array draw.  Again only
-an all-zero normal row differs: it is re-drawn after its block, not after
-the whole draw.  Its sphere norms, like the l1 objective's rows, are summed
-by ``_row_sum``: short rows a whole column at a time, in the left-to-right
-order numpy uses for them anyway, so the bits do not change.
+:meth:`Kernel.sample_smoothing_points` streams the same way: directions in
+fixed row blocks into one array (``out`` when given), then the sphere's
+radii, one ``rng.random`` call per block, so temporaries stay block-sized
+and the numbers are those of one whole-array draw, bar one difference: an
+all-zero normal row is re-drawn after its block.  Broadcasts and sums over
+rows shorter than 8 run a column at a time (``_order``); ``_row_sum`` then
+adds in the left-to-right order numpy uses for short rows anyway.
 """
 from __future__ import annotations
 
@@ -66,6 +66,11 @@ _VARIANTS = ("sphere", "gaussian")
 _SMOOTHING_BLOCK_ROWS = 8192
 
 
+def _order(X):
+    """``"F"`` for rows shorter than 8, which numpy would run one per inner loop, else ``"K"``."""
+    return "F" if X.shape[-1] < 8 else "K"
+
+
 def _row_sum(op, X):
     """``np.add.reduce(op(X), axis=-1)`` for an elementwise ufunc `op`, bit for bit.
 
@@ -74,7 +79,7 @@ def _row_sum(op, X):
     is summed a whole column at a time.  From 8 terms on a contiguous row is
     summed pairwise, so there the layout is kept.
     """
-    return np.add.reduce(op(X, order="F" if X.shape[-1] < 8 else "K"), axis=-1)
+    return np.add.reduce(op(X, order=_order(X)), axis=-1)
 
 
 class EvaluationError(RuntimeError):
@@ -156,24 +161,26 @@ class Kernel:
         while not (norms := np.sqrt(_row_sum(np.square, g))).all():
             bad = norms == 0.0
             g[bad] = rng.standard_normal((int(bad.sum()), dimension))
-        g /= norms[:, None]
+        np.divide(g, norms[:, None], out=g, order=_order(g))
         return g
 
-    def sample_smoothing_points(self, dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_smoothing_points(self, dimension: int, count: int, rng: np.random.Generator,
+                                out: np.ndarray | None = None) -> np.ndarray:
         """Draw from the smoothing measure itself: ball-uniform for the sphere
         variant (directions scaled by ``U**(1/n)``), standard normal otherwise.
 
         The directions are drawn in blocks of ``_SMOOTHING_BLOCK_ROWS`` rows
-        into one array, then, for the sphere, all ``count`` radii ``U``.
+        into `out` (a new array when None), then, for the sphere, each block's radii.
         """
-        z = np.empty((count, dimension))
-        for start in range(0, count, _SMOOTHING_BLOCK_ROWS):
-            block = z[start:start + _SMOOTHING_BLOCK_ROWS]
+        z = np.empty((count, dimension)) if out is None else out
+        blocks = [z[i:i + _SMOOTHING_BLOCK_ROWS] for i in range(0, count, _SMOOTHING_BLOCK_ROWS)]
+        for block in blocks:
             self.sample_directions(dimension, len(block), rng, out=block)
         if self.variant == "sphere":
-            u = rng.random(count)
-            u **= 1.0 / dimension
-            z *= u[:, None]
+            for block in blocks:
+                u = rng.random(len(block))
+                u **= 1.0 / dimension
+                np.multiply(block, u[:, None], out=block, order=_order(block))
         return z
 
     def gradient_scale(self, dimension: int) -> float:

@@ -433,6 +433,20 @@ class TestCli:
         assert main(["validate", "rate", "--checkpoints", "1"]) == 2
         assert "invalid parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["gradient", "moments", "penalty"])
+    def test_checkpoints_outside_the_rate_suite_exit_2_before_running(self, suite, capsys,
+                                                                       monkeypatch):
+        from smoothopt.harness import validate
+
+        def no_run(**kwargs):
+            raise AssertionError("ran the suite")
+
+        monkeypatch.setitem(validate.SUITES, suite, no_run)
+        assert main(["validate", suite, "--checkpoints", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--checkpoints" in captured.err
+        assert captured.out == ""
+
     def test_moments_suite_passes(self, capsys):
         assert main(["validate", "moments"]) == 0
         out = capsys.readouterr().out

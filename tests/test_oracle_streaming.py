@@ -2,8 +2,9 @@
 
 ``Kernel.sample_smoothing_points`` and ``validate.quadrature_gradient`` work
 in fixed row blocks; the reference functions below are their one-shot forms.
-Also: the oracle's memory stays bounded, and ``gradient_suite`` rejects
-degenerate input instead of passing vacuously.
+Also: the oracle's memory stays one draw, also over a whole suite, its
+in-place mean and standard error equal numpy's, and ``gradient_suite`` and
+the oracle reject degenerate input instead of passing vacuously.
 """
 import math
 import tracemalloc
@@ -116,19 +117,23 @@ def test_streamed_oracle_equals_whole_array_form(samples, n, variant, seed, h, z
     np.testing.assert_array_equal(se, want_se)
     assert same(grad, want_grad) and same(se, want_se)
     assert ours.bit_generator.state == ref.bit_generator.state
-    # the probes, signed zeros included: per coordinate, the plus blocks and
-    # the minus blocks in turn equal the reference's two whole-array calls
+    # the probes, signed zeros included: block by block, coordinate by
+    # coordinate, each plus and minus probe array equals its rows of the
+    # reference's two whole-array calls for that coordinate
     blocks = -(-samples // BLOCK)
     assert len(f_ours.probes) == 2 * n * blocks and len(f_ref.probes) == 2 * n
-    for i in range(n):
-        mine = f_ours.probes[2 * blocks * i:2 * blocks * (i + 1)]
-        assert same(np.concatenate(mine[0::2]), f_ref.probes[2 * i])
-        assert same(np.concatenate(mine[1::2]), f_ref.probes[2 * i + 1])
+    mine = iter(f_ours.probes)
+    for b in range(blocks):
+        for i in range(n):
+            rows = slice(b * BLOCK, (b + 1) * BLOCK)
+            assert same(next(mine), f_ref.probes[2 * i][rows])
+            assert same(next(mine), f_ref.probes[2 * i + 1][rows])
 
 
 def test_sphere_redraws_a_zero_row_after_its_block():
     # an exact all-zero normal row in the second block is re-drawn right
-    # after that block's normals, before the third block and the radii
+    # after that block's normals, before the third block and the radii; the
+    # radii come one call per block, after every normal
     class ZeroRowStream:
         def __init__(self):
             self.calls = []
@@ -152,30 +157,89 @@ def test_sphere_redraws_a_zero_row_after_its_block():
         mp.setattr(smoothing, "_SMOOTHING_BLOCK_ROWS", 4)
         z = Kernel.sphere(1.0).sample_smoothing_points(2, 10, stream)
     assert stream.calls == [("normal", (4, 2)), ("normal", (4, 2)), ("normal", (1, 2)),
-                            ("normal", (2, 2)), ("random", 10)]
+                            ("normal", (2, 2)), ("random", 4), ("random", 4), ("random", 2)]
     np.testing.assert_allclose(np.linalg.norm(z, axis=1), math.sqrt(0.5), rtol=1e-15)
 
 
-@pytest.mark.parametrize("variant", ["sphere", "gaussian"])
-def test_oracle_memory_is_bounded(variant):
-    # the shifted draws, the paired differences and one temporary of std's
-    # are whole arrays; everything else is block-sized.  The whole-array form
-    # peaks near 24 MB here
-    N, n = 200_000, 3
-    f = calibration("l1-norm", n).batch
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates above what is allocated before it."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        quadrature_gradient(f, np.full(n, 0.25), Kernel(variant, 0.1), N,
-                            np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < (N * n + 2 * N) * 8 + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("variant", ["sphere", "gaussian"])
+def test_oracle_memory_is_bounded(variant):
+    # only the shifted draws are a whole array: the paired differences
+    # overwrite them block by block, and the mean and standard error are
+    # taken in place.  The whole-array form peaks near 24 MB here
+    N, n = 200_000, 3
+    f = calibration("l1-norm", n).batch
+    peak = traced_peak(lambda: quadrature_gradient(f, np.full(n, 0.25), Kernel(variant, 0.1),
+                                                   N, np.random.default_rng(0)))
+    assert peak < N * n * 8 + 2 * 2 ** 20
+
+
+def test_gradient_suite_memory_is_one_oracle_draw():
+    # every oracle call draws into the suite's one workspace and holds no
+    # other whole array; a call with its own draw peaks near 8.7 MiB here
+    N, dims = 200_000, (3, 1, 2)
+    peak = traced_peak(lambda: gradient_suite(dims=dims, widths=(0.5,), points=1, replicates=2,
+                                              batch=50, oracle_samples=N))
+    assert peak < N * max(dims) * 8 + 2 * 2 ** 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.sampled_from(COUNTS), n=st.sampled_from([1, 2, 3, 8, 10]),
+       variant=st.sampled_from(["sphere", "gaussian"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_smoothing_points_into_out_equal_the_allocating_draw(count, n, variant, seed):
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    kernel = Kernel(variant, 0.3)
+    # a view of a longer flat workspace, as the oracle passes it
+    work = np.full(count * n + 3, np.nan)
+    out = work[:count * n].reshape(count, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smoothing, "_SMOOTHING_BLOCK_ROWS", BLOCK)
+        got = kernel.sample_smoothing_points(n, count, ours, out=out)
+        want = kernel.sample_smoothing_points(n, count, ref)
+    assert got is out and same(out, want)
+    assert np.isnan(work[count * n:]).all()
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+MEAN_SE_SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(2, 1000), n=st.integers(1, 5), column=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 1e-300, 1e150]),
+       specials=st.lists(st.tuples(st.integers(0, 999), st.sampled_from(MEAN_SE_SPECIAL)),
+                         max_size=3))
+# numpy's pairwise summation changes at 8 and 128 terms
+@example(N=8, n=3, column=1, seed=0, scale=1.0, specials=[])
+@example(N=9, n=3, column=2, seed=1, scale=1.0, specials=[])
+@example(N=128, n=2, column=1, seed=2, scale=1.0, specials=[])
+@example(N=129, n=5, column=4, seed=3, scale=1.0, specials=[(7, -0.0)])
+@example(N=3, n=2, column=0, seed=4, scale=0.0, specials=[(0, -0.0), (1, -0.0), (2, -0.0)])
+@example(N=2, n=1, column=0, seed=5, scale=1.0, specials=[(0, np.inf), (1, -np.inf)])
+def test_in_place_mean_and_se_equal_numpys(N, n, column, seed, scale, specials):
+    A = np.random.default_rng(seed).standard_normal((N, n)) * scale + 0.5 * scale
+    d = A[:, column % n]  # a strided column unless n == 1
+    for row, value in specials:
+        d[row % N] = value
+    contiguous = d.copy()
+    with np.errstate(all="ignore"):
+        want = contiguous.mean(), contiguous.std(ddof=1) / math.sqrt(N)
+        got = validate._mean_se(d)
+    assert same(got[0], want[0]) and same(got[1], want[1])
 
 
 class TestGradientSuiteInput:
@@ -190,6 +254,40 @@ class TestGradientSuiteInput:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             gradient_suite(**kwargs)
 
+    @pytest.mark.parametrize("empty", ["dims", "kernels", "widths"])
+    def test_empty_grid_is_rejected_before_any_draw(self, empty, monkeypatch):
+        # an empty grid would pass vacuously, with no check at all
+        def no_draw(*args, **kw):
+            raise AssertionError("drew before checking its input")
+
+        monkeypatch.setattr(validate, "quadrature_gradient", no_draw)
+        monkeypatch.setattr(validate, "grad_estimate", no_draw)
+        with pytest.raises(ValueError, match=rf"len\({empty}\) must be at least 1, got 0"):
+            gradient_suite(**{empty: ()})
+
+    @pytest.mark.parametrize("delta_frac", [0.0, -0.02, float("nan")])
+    def test_oracle_rejects_a_non_positive_delta(self, delta_frac):
+        # a zero delta made every coordinate 0/0 = NaN
+        with pytest.raises(ValueError, match="delta_frac"):
+            quadrature_gradient(lambda X: X[:, 0], np.zeros(2), Kernel.sphere(0.1), 10,
+                                np.random.default_rng(0), delta_frac=delta_frac)
+
+    @pytest.mark.parametrize("work", [np.empty(20, dtype=np.float32), np.empty(40)[::2],
+                                      np.empty((5, 4)).T, np.empty(19)],
+                             ids=["float32", "strided", "fortran", "short"])
+    def test_oracle_rejects_an_unfit_workspace(self, work):
+        with pytest.raises(ValueError, match="work"):
+            quadrature_gradient(lambda X: X[:, 0], np.zeros(2), Kernel.sphere(0.1), 10,
+                                np.random.default_rng(0), work=work)
+
+    @pytest.mark.parametrize("work", [np.empty(20), np.empty(23), np.empty((4, 6))],
+                             ids=["exact", "longer", "two-dimensional"])
+    def test_oracle_in_a_workspace_equals_the_allocating_call(self, work):
+        f, x, kernel = calibration("l1-norm", 2).batch, np.array([0.3, -0.1]), Kernel.sphere(0.4)
+        got = quadrature_gradient(f, x, kernel, 10, np.random.default_rng(3), work=work)
+        want = quadrature_gradient(f, x, kernel, 10, np.random.default_rng(3))
+        assert same(got[0], want[0]) and same(got[1], want[1])
+
     def test_oracle_rejects_fewer_than_two_samples(self):
         with pytest.raises(ValueError):
             quadrature_gradient(lambda X: X[:, 0], np.zeros(2), Kernel.sphere(0.1), 1,
@@ -199,7 +297,7 @@ class TestGradientSuiteInput:
         # a NaN deviation in any point fails the check instead of being dropped
         calls = []
 
-        def oracle(batch_f, x, kernel, samples, rng):
+        def oracle(batch_f, x, kernel, samples, rng, *, work):
             calls.append(None)
             value = np.full(x.size, np.nan if len(calls) == 2 else 0.0)
             return value, np.ones(x.size)
