@@ -20,8 +20,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .penalty import FeasibleSet
-from .smoothing import EvaluationError, Kernel
-from .optimizer import RunRecord, Schedule, StepRule, WidthRule, _lockstep_starts, sgd_run
+from .smoothing import EvaluationError
+from .optimizer import (RunRecord, Schedule, StepRule, WidthRule, _lockstep_starts, sgd_run,
+                        step_kinds)
 
 __all__ = [
     "SmoothingPlan",
@@ -50,26 +51,30 @@ class SmoothingPlan:
     """Stage widths plus the per-stage inner run configuration.
 
     ``widths`` must be strictly decreasing.  ``steps`` gives one step rule per
-    stage (a single rule may be broadcast).  With ``couple_widths`` the stage
-    width only seeds the coupled rule ``h_t = L * rho_t / K`` instead of being
-    held fixed within the stage.
+    stage (a single rule may be broadcast).  Each stage holds its width fixed,
+    unless a ``width_rule`` sets the width within every stage, such as the
+    coupled ``h_t = L * rho_t / K`` (:meth:`WidthRule.coupled`).  The widths
+    then only label the stages, and a one-stage plan may label its stage
+    ``None``.
     """
 
-    widths: tuple[float, ...]
+    widths: tuple[float | None, ...]
     steps: tuple[StepRule, ...]
     iterations: int
     batch_size: int
     ravine_beta: float = 1.0
-    couple_widths: bool = False
+    width_rule: WidthRule | None = None
 
     def __post_init__(self):
-        widths = tuple(float(h) for h in self.widths)
-        if len(widths) < 1:
-            raise ValueError("plan needs at least one stage width")
-        if any(not h > 0 for h in widths):
-            raise ValueError("stage widths must be positive")
-        if any(b >= a for a, b in zip(widths, widths[1:])):
-            raise ValueError("stage widths must be strictly decreasing")
+        widths = tuple(self.widths)
+        if widths != (None,) or self.width_rule is None:
+            widths = tuple(float(h) for h in widths)
+            if len(widths) < 1:
+                raise ValueError("plan needs at least one stage width")
+            if any(not h > 0 for h in widths):
+                raise ValueError("stage widths must be positive")
+            if any(b >= a for a, b in zip(widths, widths[1:])):
+                raise ValueError("stage widths must be strictly decreasing")
         steps = tuple(self.steps) if isinstance(self.steps, Sequence) else (self.steps,)
         if len(steps) == 1:
             steps = steps * len(widths)
@@ -87,7 +92,7 @@ class SmoothingPlan:
         return len(self.widths)
 
     def schedule(self, stage: int) -> Schedule:
-        width = WidthRule.coupled() if self.couple_widths else WidthRule.fixed(self.widths[stage])
+        width = WidthRule.fixed(self.widths[stage]) if self.width_rule is None else self.width_rule
         return Schedule(step=self.steps[stage], width=width)
 
 
@@ -102,7 +107,7 @@ class StageResult:
     """
 
     index: int
-    h: float
+    h: float | None
     start: np.ndarray
     record: RunRecord
     returned_point: np.ndarray
@@ -145,7 +150,7 @@ def ravine_start(x_prev, x_curr, beta: float, X: FeasibleSet) -> np.ndarray:
 
 
 def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
-                         kernel: str | Kernel, x0, rng, *,
+                         kernel: str, x0, rng, *,
                          record_trajectory: bool = False) -> ContinuationResult:
     """Run the outer smoothing loop over ``plan.widths``.
 
@@ -153,6 +158,7 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
     extrapolation is possible with a single minimizer); stage ``s >= 2`` from
     the ravine extrapolation of the two previous returned points.  The result
     reports the best value of the batch objective ``F`` over all probes.
+    ``kernel`` names the direction law, as for :func:`sgd_run`.
 
     ``x0`` of shape ``(S, n)`` runs S restarts in lockstep, with ``rng`` a
     sequence of S seeds or generators, one per restart; the result then has a
@@ -213,24 +219,19 @@ def default_plan(X: FeasibleSet, *, iterations: int, batch_size: int,
     built per stage with the distance bound tied to the stage scale
     (``D_s = 2 * h_s``): a stage's minimizer is expected within the previous
     stage's width of the warm start, so steps sized to the whole domain would
-    be wasted after the first stage.  ``step_kind = "constant-scaled"`` uses
-    ``rho_s = step_alpha * h_s / L`` instead.
+    be wasted after the first stage.  ``step_kind`` is a kind that a config
+    ``plan`` takes (see :data:`smoothopt.optimizer.STEP_KINDS`) with the
+    parameters ``step_alpha`` and ``C``: ``"constant-scaled"`` uses
+    ``rho_s = step_alpha * h_s / L``.
     """
+    if step_kind not in step_kinds("plan"):
+        raise ValueError(f"unsupported default step kind {step_kind!r}")
     lower, upper = X.bounding_box()
     diameter = float(np.linalg.norm(upper - lower))
     if not diameter > 0:
         raise ValueError("projection set has zero diameter")
     widths = geometric_widths(0.5 * diameter, stages, decay)
-    n = lower.size
-    steps = []
-    for h in widths:
-        if step_kind == "constant-scaled":
-            steps.append(StepRule.constant(step_alpha * h / L))
-        elif step_kind == "sphere-decaying":
-            steps.append(StepRule.sphere_decaying(D=2.0 * h, L=L, n=n, K=batch_size, C=C))
-        elif step_kind == "gaussian-decaying":
-            steps.append(StepRule.gaussian_decaying(D=2.0 * h, L=L, n=n, K=batch_size))
-        else:
-            raise ValueError(f"unsupported default step kind {step_kind!r}")
-    return SmoothingPlan(widths=widths, steps=tuple(steps), iterations=iterations,
+    steps = tuple(StepRule.build(step_kind, {"alpha": step_alpha, "C": C}, h=h, D=2.0 * h, L=L,
+                                 n=lower.size, K=batch_size, T=iterations) for h in widths)
+    return SmoothingPlan(widths=widths, steps=steps, iterations=iterations,
                          batch_size=batch_size, ravine_beta=beta)

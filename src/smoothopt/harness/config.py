@@ -1,9 +1,10 @@
 """Run configuration: one structured YAML file, validated with line anchors.
 
 A config chooses a problem, a kernel, seeds, an evaluation budget, an output
-directory, and either a multi-stage smoothing ``plan`` or a single-stage
-``schedule``.  Every default from the library is overridable here so that a
-config file is the single source of truth for a reproducible run.
+directory, and either a multi-stage smoothing ``plan`` or a ``schedule``,
+which is the one-stage case of a plan.  Every default from the library is
+overridable here so that a config file is the single source of truth for a
+reproducible run.
 
 Example::
 
@@ -20,6 +21,17 @@ Example::
       decay: 0.5
       beta: 1.0
       step: {kind: constant-scaled, alpha: 0.1}
+
+A ``schedule`` (a ``step`` and a ``width``, ``{kind: fixed, h: ...}`` or
+``{kind: coupled}``) runs as a one-stage plan sized to the whole domain:
+``D: auto`` is its diameter, and a coupled width takes the resolved
+Lipschitz constant, its optional ``h`` only scaling that estimate.  The step
+kinds each section takes, with their parameters, are in
+``optimizer.STEP_KINDS``:
+
+* plan: constant, constant-scaled, sphere-decaying, gaussian-decaying
+* schedule: constant, sphere-fixed, sphere-decaying, gaussian-fixed,
+  gaussian-decaying, gaussian-vanishing
 """
 from __future__ import annotations
 
@@ -29,9 +41,8 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-import yaml
 
-from ..optimizer import ITERATE_TOL
+from ..optimizer import ITERATE_TOL, STEP_KINDS, step_kinds
 from ..penalty import Ball, Box, FeasibleSet
 from ..problems import make_problem, problem_names
 
@@ -39,9 +50,6 @@ __all__ = ["ConfigError", "RunConfig", "constraint_set", "load_config", "parse_c
            "projection_set"]
 
 _KERNELS = ("sphere", "gaussian")
-_PLAN_STEP_KINDS = ("constant", "constant-scaled", "sphere-decaying", "gaussian-decaying")
-_SCHEDULE_STEP_KINDS = ("constant", "sphere-fixed", "sphere-decaying", "gaussian-fixed",
-                        "gaussian-decaying", "gaussian-vanishing")
 _PENALTY_KEYS = ("kind", "M", "anchor")
 
 
@@ -65,6 +73,8 @@ class ConfigError(ValueError):
 
 def _line_map(text: str) -> dict[str, int]:
     """Map ``a.b[2].c`` key paths to 1-based source lines."""
+    import yaml  # only a file read needs it: a mapping parses without it
+
     try:
         root = yaml.compose(text)
     except yaml.YAMLError:
@@ -99,8 +109,7 @@ class RunConfig:
     output: str
     iterations: int
     batch_size: int
-    plan: dict | None
-    schedule: dict | None
+    plan: dict
     constraint: dict | None = None
     start: Any = "auto"
     record_trajectory: bool = False
@@ -108,7 +117,7 @@ class RunConfig:
 
     @property
     def stages(self) -> int:
-        return int(self.plan["stages"]) if self.plan is not None else 1
+        return self.plan["stages"]
 
     @property
     def planned_evaluations(self) -> int:
@@ -216,42 +225,8 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
     iterations = c.number("iterations", required=True, integer=True, minimum=1)
     batch_size = c.number("batch_size", default=1, integer=True, minimum=1)
 
-    plan = c.get("plan")
-    schedule = c.get("schedule")
-    if (plan is None) == (schedule is None):
-        c.fail("plan", "exactly one of 'plan' and 'schedule' must be given")
-
-    if plan is not None:
-        plan = dict(plan)
-        c.number("plan.h0", default="auto", allow_auto=True, minimum=0.0)
-        plan.setdefault("h0", "auto")
-        plan["stages"] = c.number("plan.stages", default=11, integer=True, minimum=1)
-        plan["decay"] = c.number("plan.decay", default=0.5)
-        if not 0 < plan["decay"] < 1:
-            c.fail("plan.decay", f"decay must lie in (0, 1), got {plan['decay']!r}")
-        plan["beta"] = c.number("plan.beta", default=1.0, minimum=0.0)
-        plan["couple_widths"] = c.boolean("plan.couple_widths", default=False)
-        step = plan.get("step", {"kind": "sphere-decaying"})
-        plan["step"] = _check_step(c, "plan.step", step, _PLAN_STEP_KINDS)
-        if plan["couple_widths"] and plan["step"]["kind"] in ("constant", "constant-scaled"):
-            c.fail("plan.couple_widths",
-                   f"coupled widths h_t = L * rho_t / K need a step rule with L and K; "
-                   f"{plan['step']['kind']!r} has neither")
-
-    if schedule is not None:
-        schedule = dict(schedule)
-        schedule["step"] = _check_step(c, "schedule.step",
-                                       c.get("schedule.step", required=True),
-                                       _SCHEDULE_STEP_KINDS)
-        width = c.get("schedule.width", required=True)
-        if not isinstance(width, dict) or width.get("kind") not in ("fixed", "coupled"):
-            c.fail("schedule.width", "width must be {kind: fixed, h: ...} or {kind: coupled}")
-        if width["kind"] == "fixed":
-            c.number("schedule.width.h", required=True, minimum=0.0)
-        schedule["width"] = dict(width)
-
-    stages = int(plan["stages"]) if plan is not None else 1
-    needed = 2 * batch_size * iterations * stages
+    plan = _check_plan(c)
+    needed = 2 * batch_size * iterations * plan["stages"]
     if budget < needed:
         c.fail("budget", f"evaluation budget {budget} is below 2*K*T*stages = {needed}")
 
@@ -280,7 +255,6 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         iterations=int(iterations),
         batch_size=int(batch_size),
         plan=plan,
-        schedule=schedule,
         constraint=constraint,
         start=start,
         record_trajectory=record_trajectory,
@@ -351,29 +325,56 @@ def constraint_set(constraint: dict) -> FeasibleSet:
                np.asarray(constraint["upper"], dtype=float))
 
 
-def _check_step(c: _Checker, path: str, step, allowed) -> dict:
+def _check_plan(c: _Checker) -> dict:
+    """The ``plan`` section, or a ``schedule`` section as the one-stage plan it is,
+    with ``mode`` naming the section."""
+    plan, schedule = c.get("plan"), c.get("schedule")
+    if (plan is None) == (schedule is None):
+        c.fail("plan", "exactly one of 'plan' and 'schedule' must be given")
+    mode = "plan" if schedule is None else "schedule"
+    if not isinstance(c.get(mode), dict):
+        c.fail(mode, f"{mode} must be a mapping")
+    step = c.get(f"{mode}.step", default={"kind": "sphere-decaying"}, required=mode == "schedule")
     if not isinstance(step, dict) or "kind" not in step:
-        c.fail(path, "step rule must be a mapping with a 'kind'")
+        c.fail(f"{mode}.step", "step rule must be a mapping with a 'kind'")
     kind = step["kind"]
-    if kind not in allowed:
-        c.fail(f"{path}.kind", f"step kind must be one of {allowed}, got {kind!r}")
-    out = dict(step)
-    if kind == "constant":
-        c.number(f"{path}.rho", required=True, minimum=0.0)
-    elif kind == "constant-scaled":
-        out.setdefault("alpha", 0.1)
-        c.number(f"{path}.alpha", default=0.1, minimum=0.0)
-    else:
-        for field_name in ("D", "L"):
-            out.setdefault(field_name, "auto")
-            c.number(f"{path}.{field_name}", default="auto", allow_auto=True, minimum=0.0)
-        out.setdefault("C", 1.0)
-        c.number(f"{path}.C", default=1.0, minimum=0.0)
+    if kind not in step_kinds(mode):
+        c.fail(f"{mode}.step.kind", f"step kind must be one of {step_kinds(mode)}, got {kind!r}")
+    for name, default in STEP_KINDS[kind].params.items():
+        c.number(f"{mode}.step.{name}", default=default, required=default is None,
+                 allow_auto=default == "auto", minimum=0.0)
+    # a schedule is one stage, where decay and beta never act
+    out = {"mode": mode, "step": dict(step), "stages": 1, "decay": 0.5, "beta": 1.0}
+    if mode == "plan":
+        out["h0"] = c.number("plan.h0", default="auto", allow_auto=True, minimum=0.0)
+        if out["h0"] == 0:
+            c.fail("plan.h0", "the first stage width must be positive, got 0")
+        out["stages"] = c.number("plan.stages", default=11, integer=True, minimum=1)
+        out["decay"] = c.number("plan.decay", default=0.5)
+        if not 0 < out["decay"] < 1:
+            c.fail("plan.decay", f"decay must lie in (0, 1), got {out['decay']!r}")
+        out["beta"] = c.number("plan.beta", default=1.0, minimum=0.0)
+        out["couple_widths"] = c.boolean("plan.couple_widths", default=False)
+        if out["couple_widths"] and "L" not in STEP_KINDS[kind].needs:
+            c.fail("plan.couple_widths",
+                   f"coupled widths h_t = L * rho_t / K need a step rule with L and K; "
+                   f"{kind!r} has neither")
+        return out
+    width = c.get("schedule.width", required=True)
+    if not isinstance(width, dict) or width.get("kind") not in ("fixed", "coupled"):
+        c.fail("schedule.width", "width must be {kind: fixed, h: ...} or {kind: coupled}")
+    out["couple_widths"] = width["kind"] == "coupled"
+    h = c.number("schedule.width.h", required=not out["couple_widths"], minimum=0.0)
+    if h == 0 and not out["couple_widths"]:
+        c.fail("schedule.width.h", "a fixed width must be positive, got 0")
+    out["h0"] = (h or "auto") if out["couple_widths"] else h
     return out
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML config file."""
+    import yaml
+
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

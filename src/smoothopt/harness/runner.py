@@ -22,16 +22,15 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from ..continuation import (ContinuationResult, SmoothingPlan, StageResult,
-                            geometric_widths, successive_smoothing)
-from ..optimizer import Schedule, StepRule, WidthRule, estimate_lipschitz, sgd_run
+from ..continuation import SmoothingPlan, geometric_widths, successive_smoothing
+from ..optimizer import StepRule, WidthRule, estimate_lipschitz
 from ..penalty import PenaltySpec, penalized_batch, penalized_function
 from ..problems import ProblemInstance, make_problem
 from ..smoothing import EvaluationError
 from .config import RunConfig, constraint_set, projection_set
 
 __all__ = ["RunOutcome", "execute_config", "build_problem", "resolve_plan",
-           "resolve_schedule", "CSV_COLUMNS", "worker_count"]
+           "CSV_COLUMNS", "worker_count"]
 
 CSV_COLUMNS = [
     "problem", "n", "seed", "stages", "iterations_per_stage", "total_iterations",
@@ -92,62 +91,37 @@ def _resolve_L(cfg: RunConfig, problem: ProblemInstance, scale: float) -> float:
     return estimate_lipschitz(problem.objective_batch, problem.domain, scale, rng)
 
 
-def _step_rule(step: dict, *, h: float, D_auto: float, L: float, n: int, K: int,
-               T: int) -> StepRule:
-    kind = step["kind"]
-    if kind == "constant":
-        return StepRule.constant(float(step["rho"]))
-    if kind == "constant-scaled":
-        return StepRule.constant(float(step["alpha"]) * h / L)
-    D = D_auto if step.get("D", "auto") == "auto" else float(step["D"])
-    Lval = L if step.get("L", "auto") == "auto" else float(step["L"])
-    C = float(step.get("C", 1.0))
-    if kind == "sphere-decaying":
-        return StepRule.sphere_decaying(D=D, L=Lval, n=n, K=K, C=C)
-    if kind == "sphere-fixed":
-        return StepRule.sphere_fixed(D=D, L=Lval, n=n, K=K, C=C, T=T)
-    if kind == "gaussian-decaying":
-        return StepRule.gaussian_decaying(D=D, L=Lval, n=n, K=K)
-    if kind == "gaussian-fixed":
-        return StepRule.gaussian_fixed(D=D, L=Lval, n=n, K=K, T=T)
-    if kind == "gaussian-vanishing":
-        return StepRule.gaussian_vanishing(D=D, L=Lval, n=n, K=K)
-    raise ValueError(f"unsupported step kind {kind!r}")
-
-
 def resolve_plan(cfg: RunConfig, problem: ProblemInstance) -> SmoothingPlan:
-    """Turn the config's plan section into a concrete :class:`SmoothingPlan`."""
+    """Turn the config's plan section into a concrete :class:`SmoothingPlan`.
+
+    A plan sizes each stage's step to the stage (``D = 2 * h_s`` when
+    ``auto``), and its coupled widths take the step rule's ``L``.  A
+    ``schedule`` section is a one-stage plan sized to the whole domain:
+    ``D = diameter`` when ``auto``, and a coupled width takes the resolved
+    Lipschitz estimate and leaves the stage's width unnamed (``None``).
+    """
+    plan = cfg.plan
     lower, upper = problem.domain.bounding_box()
     diameter = float(np.linalg.norm(upper - lower))
-    h0 = 0.5 * diameter if cfg.plan["h0"] == "auto" else float(cfg.plan["h0"])
-    widths = geometric_widths(h0, int(cfg.plan["stages"]), float(cfg.plan["decay"]))
+    h0 = 0.5 * diameter if plan["h0"] == "auto" else plan["h0"]
+    widths = geometric_widths(h0, plan["stages"], plan["decay"])
     L = _resolve_L(cfg, problem, scale=h0)
+    whole = plan["mode"] == "schedule"
     steps = tuple(
-        _step_rule(cfg.plan["step"], h=h, D_auto=2.0 * h, L=L, n=problem.dimension,
-                   K=cfg.batch_size, T=cfg.iterations)
+        StepRule.build(plan["step"]["kind"], plan["step"], h=h,
+                       D=diameter if whole else 2.0 * h, L=L, n=problem.dimension,
+                       K=cfg.batch_size, T=cfg.iterations)
         for h in widths)
+    width_rule = None
+    if plan["couple_widths"]:
+        width_rule = WidthRule.coupled(L=L if whole else steps[0].L, K=cfg.batch_size)
+        widths = (None,) if whole else widths
     return SmoothingPlan(widths=widths, steps=steps, iterations=cfg.iterations,
-                         batch_size=cfg.batch_size, ravine_beta=float(cfg.plan["beta"]),
-                         couple_widths=cfg.plan["couple_widths"])
+                         batch_size=cfg.batch_size, ravine_beta=plan["beta"],
+                         width_rule=width_rule)
 
 
-def resolve_schedule(cfg: RunConfig, problem: ProblemInstance) -> Schedule:
-    lower, upper = problem.domain.bounding_box()
-    diameter = float(np.linalg.norm(upper - lower))
-    width_cfg = cfg.schedule["width"]
-    h_ref = float(width_cfg.get("h", 0.0)) or 0.5 * diameter
-    L = _resolve_L(cfg, problem, scale=h_ref)
-    step = _step_rule(cfg.schedule["step"], h=h_ref, D_auto=diameter, L=L,
-                      n=problem.dimension, K=cfg.batch_size, T=cfg.iterations)
-    if width_cfg["kind"] == "fixed":
-        width = WidthRule.fixed(float(width_cfg["h"]))
-    else:
-        width = WidthRule.coupled(L=L, K=cfg.batch_size)
-    return Schedule(step=step, width=width)
-
-
-def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan | None,
-               schedule: Schedule | None) -> list[RunOutcome]:
+def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan) -> list[RunOutcome]:
     """Run every seed of the config in one lockstep batch, in seed order."""
     starts, gens = [], []
     for seed in cfg.seeds:
@@ -162,19 +136,8 @@ def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan | N
     t0 = time.perf_counter()
 
     try:
-        if plan is not None:
-            result = successive_smoothing(F, problem.domain, plan, cfg.kernel, x0, gens,
-                                          record_trajectory=cfg.record_trajectory)
-        else:
-            record = sgd_run(F, problem.domain, x0, schedule, cfg.kernel, cfg.batch_size,
-                             cfg.iterations, gens, record_trajectory=cfg.record_trajectory)
-            h = schedule.width.h if schedule.width.kind == "fixed" else None
-            stage = StageResult(index=0, h=h, start=x0, record=record,
-                                returned_point=record.weighted_average,
-                                best_value=record.best_value, best_so_far=record.best_value)
-            result = ContinuationResult(best_point=record.best_point,
-                                        best_value=record.best_value,
-                                        stages=[stage], evaluations=record.evaluations)
+        result = successive_smoothing(F, problem.domain, plan, cfg.kernel, x0, gens,
+                                      record_trajectory=cfg.record_trajectory)
     except EvaluationError as err:
         raise err.with_context(seed=cfg.seeds[err.run]) from None
 
@@ -235,10 +198,8 @@ def _write_atomic(path: Path, text: str):
 def execute_config(cfg: RunConfig) -> tuple[Path, list[RunOutcome]]:
     """Run every seed of a config; returns the CSV path and per-run outcomes."""
     problem = build_problem(cfg)
-    plan = resolve_plan(cfg, problem) if cfg.plan is not None else None
-    schedule = resolve_schedule(cfg, problem) if cfg.schedule is not None else None
-
-    outcomes = sorted(_run_seeds(cfg, problem, plan, schedule), key=lambda o: o.seed)
+    outcomes = sorted(_run_seeds(cfg, problem, resolve_plan(cfg, problem)),
+                      key=lambda o: o.seed)
 
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -235,7 +235,7 @@ def rate_suite(*, n: int = 10, K: int = 8, h: float = 0.1, D: float = 2.0,
     L = math.sqrt(n)
     f = calibration("l1-norm", n).batch
     X = Ball(np.zeros(n), 1.0)
-    step = StepRule.sphere_decaying(D=D, L=L, n=n, K=K, C=C)
+    step = StepRule("sphere-decaying", D=D, L=L, n=n, K=K, C=C)
     schedule = Schedule(step=step, width=WidthRule.fixed(h))
     kernel = Kernel.sphere(h)
 

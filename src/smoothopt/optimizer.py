@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,8 @@ from .penalty import FeasibleSet
 from .smoothing import EvaluationError, Kernel, _evaluate, _two_point_batch
 
 __all__ = [
+    "STEP_KINDS",
+    "step_kinds",
     "StepRule",
     "WidthRule",
     "Schedule",
@@ -66,23 +68,89 @@ ITERATE_TOL = 1e-9
 # 4096-row chunk of directions alone.
 _DRAW_ROWS = 512
 
-_STEP_KINDS = ("constant", "sphere-fixed", "sphere-decaying", "gaussian-fixed", "gaussian-decaying", "gaussian-vanishing")
-_BOUND_KINDS = ("sphere-fixed", "sphere-decaying", "sphere-vanishing", "gaussian-fixed", "gaussian-decaying", "gaussian-vanishing")
+
+class StepKind(NamedTuple):
+    """A row of :data:`STEP_KINDS`."""
+
+    rho: Callable | str   # rho(rule, tau), or why there is no step rule
+    needs: tuple          # the rule's fields rho reads, each > 0; with T, tau is the horizon
+    params: dict          # a config step's parameters: default, None if required
+    bound: Callable | str  # bound(D, L, n, K, C, t) of rate_bound, or why there is none
+    modes: tuple          # the config sections that take the kind
+    make: Callable | None = None  # the rule's fields from the parameters, if not `needs`
+
+
+def _sphere(r, tau):
+    return r.D * np.sqrt(r.n * r.K) / (r.L * np.sqrt(2.0 * tau * (r.C + r.K / r.n)))
+
+
+def _gaussian(r, tau):
+    return r.D / (r.L * np.sqrt(2.0 * tau * (1.0 + (r.n - 1.0) / r.K)))
+
+
+def _tail(t):
+    return (2.0 + np.log(t)) / (np.sqrt(t) - 1.0)
+
+
+_ANALYTIC = {"D": "auto", "L": "auto", "C": 1.0}
+_HAND_SET = "a step size set by hand carries no rate guarantee"
+
+# The one table of step kinds, read by StepRule, rate_bound, the config, the
+# runner and default_plan.  rho and the bounds keep their operations in order.
+STEP_KINDS: dict[str, StepKind] = {
+    "constant": StepKind(lambda r, tau: _full_like(tau, r.rho), ("rho",), {"rho": None},
+                         _HAND_SET, ("plan", "schedule")),
+    "constant-scaled": StepKind(lambda r, tau: _full_like(tau, r.rho), ("rho",), {"alpha": 0.1},
+                                _HAND_SET, ("plan",),
+                                make=lambda p: {"rho": p["alpha"] * p["h"] / p["L"]}),
+    "sphere-fixed": StepKind(
+        _sphere, ("D", "L", "n", "K", "C", "T"), _ANALYTIC,
+        lambda D, L, n, K, C, t: (L * D / np.sqrt(t)) * np.sqrt(2.0 * n / K) * np.sqrt(C + K / n),
+        ("schedule",)),
+    "sphere-decaying": StepKind(
+        _sphere, ("D", "L", "n", "K", "C"), _ANALYTIC,
+        lambda D, L, n, K, C, t: ((D * L / np.sqrt(2.0)) * np.sqrt(n / K) * np.sqrt(C + K / n)
+                                  * _tail(t)),
+        ("plan", "schedule")),
+    "sphere-vanishing": StepKind(
+        "unmatched: the bound has no sphere step rule for coupled widths", (), {},
+        lambda D, L, n, K, C, t: ((D * L / 2.0) * np.sqrt(n / K) * np.sqrt(2.0 + C + K / n)
+                                  * _tail(t)),
+        ()),
+    "gaussian-fixed": StepKind(
+        _gaussian, ("D", "L", "n", "K", "T"), _ANALYTIC,
+        lambda D, L, n, K, C, t: (L * D / np.sqrt(t)) * np.sqrt(2.0 * (1.0 + (n - 1.0) / K)),
+        ("schedule",)),
+    "gaussian-decaying": StepKind(
+        _gaussian, ("D", "L", "n", "K"), _ANALYTIC,
+        lambda D, L, n, K, C, t: L * D * np.sqrt(2.0) * np.sqrt(1.0 + (n - 1.0) / K) * _tail(t),
+        ("plan", "schedule")),
+    "gaussian-vanishing": StepKind(
+        lambda r, tau: r.D / (r.L * np.sqrt(tau * (1.0 + (r.n + 3.0) / r.K))),
+        ("D", "L", "n", "K"), _ANALYTIC,
+        lambda D, L, n, K, C, t: (D * L / 2.0) * np.sqrt(1.0 + (n + 3.0) / K) * _tail(t),
+        ("schedule",)),
+}
+
+
+def step_kinds(mode: str | None = None) -> tuple[str, ...]:
+    """Kinds with a step rule, in table order; with ``mode``, those that config section takes."""
+    return tuple(kind for kind, e in STEP_KINDS.items()
+                 if callable(e.rho) and (mode is None or mode in e.modes))
+
+
+def _step_kind(kind: str) -> StepKind:
+    if kind not in step_kinds():
+        raise ValueError(f"unknown step rule {kind!r}; expected one of {step_kinds()}")
+    return STEP_KINDS[kind]
 
 
 @dataclass(frozen=True)
 class StepRule:
-    """Step-size sequence ``rho_t``.
+    """Step-size sequence ``rho_t`` of a kind in :data:`STEP_KINDS`, by its formula there.
 
     ``constant`` uses a user value.  The ``sphere-*`` rules are tuned for
-    sphere-direction estimates, the ``gaussian-*`` rules for Gaussian ones:
-
-    * ``sphere-fixed``      ``rho   = D*sqrt(n*K) / (L*sqrt(2*T*(C + K/n)))``
-    * ``sphere-decaying``   ``rho_t = D*sqrt(n*K) / (L*sqrt(2*t*(C + K/n)))``
-    * ``gaussian-fixed``      ``rho   = D / (L*sqrt(2*T*(1 + (n-1)/K)))``
-    * ``gaussian-decaying``   ``rho_t = D / (L*sqrt(2*t*(1 + (n-1)/K)))``
-    * ``gaussian-vanishing``  ``rho_t = D / (L*sqrt(t*(1 + (n+3)/K)))``
-
+    sphere-direction estimates, the ``gaussian-*`` rules for Gaussian ones.
     ``D`` bounds the norm of the projection set, ``L`` is the Lipschitz
     constant, ``n`` the dimension, ``K`` the batch size, ``C`` the sphere
     second-moment constant.  Fixed rules need the horizon ``T`` and reject
@@ -99,66 +167,45 @@ class StepRule:
     T: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _STEP_KINDS:
-            raise ValueError(f"unknown step rule {self.kind!r}; expected one of {_STEP_KINDS}")
-        if self.kind == "constant":
-            if self.rho is None or not self.rho > 0:
-                raise ValueError("constant step rule needs rho > 0")
-            return
-        for name in ("D", "L", "n", "K"):
+        for name in _step_kind(self.kind).needs:
             v = getattr(self, name)
             if v is None or not v > 0:
                 raise ValueError(f"step rule {self.kind!r} needs {name} > 0")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-        if self.kind.endswith("-fixed") and (self.T is None or self.T < 1):
-            raise ValueError(f"step rule {self.kind!r} needs a horizon T >= 1")
+
+    @classmethod
+    def build(cls, kind: str, params: dict, **context) -> "StepRule":
+        """Rule of ``kind`` from the parameters of a config ``step`` section.
+
+        ``context`` holds the stage width ``h``, the ``D`` and ``L`` that an
+        ``"auto"`` parameter takes, and ``n``, ``K`` and the horizon ``T``.
+        """
+        entry = _step_kind(kind)
+        p = dict(context)
+        for name, default in entry.params.items():
+            value = params.get(name, default)
+            if value is None:
+                raise ValueError(f"step rule {kind!r} needs its parameter {name!r}")
+            if value != "auto":
+                p[name] = float(value)
+        return cls(kind, **(entry.make(p) if entry.make else {k: p[k] for k in entry.needs}))
 
     @classmethod
     def constant(cls, rho: float) -> "StepRule":
         return cls("constant", rho=rho)
-
-    @classmethod
-    def sphere_fixed(cls, D, L, n, K, C=1.0, T=None) -> "StepRule":
-        return cls("sphere-fixed", D=D, L=L, n=n, K=K, C=C, T=T)
-
-    @classmethod
-    def sphere_decaying(cls, D, L, n, K, C=1.0) -> "StepRule":
-        return cls("sphere-decaying", D=D, L=L, n=n, K=K, C=C)
-
-    @classmethod
-    def gaussian_fixed(cls, D, L, n, K, T=None) -> "StepRule":
-        return cls("gaussian-fixed", D=D, L=L, n=n, K=K, T=T)
-
-    @classmethod
-    def gaussian_decaying(cls, D, L, n, K) -> "StepRule":
-        return cls("gaussian-decaying", D=D, L=L, n=n, K=K)
-
-    @classmethod
-    def gaussian_vanishing(cls, D, L, n, K) -> "StepRule":
-        return cls("gaussian-vanishing", D=D, L=L, n=n, K=K)
 
     def value(self, t):
         """Step size at iteration ``t``; an integer array ``t`` gives an array with the bits
         of the scalar calls (the formulas are elementwise, ``sqrt`` correctly rounded)."""
         if np.any(np.less(t, 1)):
             raise ValueError("iteration index t starts at 1")
-        if self.kind == "constant":
-            return _full_like(t, self.rho)
+        entry = STEP_KINDS[self.kind]
         tau = t
-        if self.kind.endswith("-fixed"):
+        if "T" in entry.needs:
             if np.any(np.greater(t, self.T)):
                 raise ValueError(f"step rule {self.kind!r} defined for t <= T = {self.T}, "
                                  f"got t = {np.max(t)}")
             tau = _full_like(t, self.T)
-        if self.kind in ("sphere-fixed", "sphere-decaying"):
-            return self.D * np.sqrt(self.n * self.K) / (
-                self.L * np.sqrt(2.0 * tau * (self.C + self.K / self.n)))
-        if self.kind == "gaussian-vanishing":
-            return self.D / (self.L * np.sqrt(tau * (1.0 + (self.n + 3.0) / self.K)))
-        if self.kind in ("gaussian-fixed", "gaussian-decaying"):
-            return self.D / (self.L * np.sqrt(2.0 * tau * (1.0 + (self.n - 1.0) / self.K)))
-        raise ValueError(f"no step-size formula for step rule {self.kind!r}")
+        return entry.rho(self, tau)
 
 
 def _full_like(t, value):
@@ -180,13 +227,15 @@ class WidthRule:
             raise ValueError("width rule must be 'fixed' or 'coupled'")
         if self.kind == "fixed" and (self.h is None or not self.h > 0):
             raise ValueError("fixed width rule needs h > 0")
+        if self.kind == "coupled" and (self.L is None or self.K is None):
+            raise ValueError("coupled width rule needs L and K")
 
     @classmethod
     def fixed(cls, h: float) -> "WidthRule":
         return cls("fixed", h=h)
 
     @classmethod
-    def coupled(cls, L: float | None = None, K: int | None = None) -> "WidthRule":
+    def coupled(cls, L: float, K: int) -> "WidthRule":
         return cls("coupled", L=L, K=K)
 
 
@@ -202,11 +251,7 @@ class Schedule:
         rho = self.step.value(t)
         if self.width.kind == "fixed":
             return rho, _full_like(t, self.width.h)
-        L = self.width.L if self.width.L is not None else self.step.L
-        K = self.width.K if self.width.K is not None else self.step.K
-        if L is None or K is None:
-            raise ValueError("coupled width rule needs L and K (directly or from the step rule)")
-        return rho, L * rho / K
+        return rho, self.width.L * rho / self.width.K
 
 
 def rate_bound(which: str, *, D: float, L: float, n: int, K: int, C: float = 1.0,
@@ -217,29 +262,19 @@ def rate_bound(which: str, *, D: float, L: float, n: int, K: int, C: float = 1.0
     iteration for the decaying/vanishing forms (which are undefined at
     ``t = 1`` where ``sqrt(t) - 1`` vanishes).  The ``*-vanishing`` forms
     bound the gap of the *unsmoothed* objective under coupled widths; the
-    others bound the gap of ``F_h``.
+    others bound the gap of ``F_h``.  The forms are those of :data:`STEP_KINDS`.
     """
-    if which not in _BOUND_KINDS:
-        raise ValueError(f"unknown bound {which!r}; expected one of {_BOUND_KINDS}")
+    bounds = tuple(kind for kind, e in STEP_KINDS.items() if callable(e.bound))
+    if which not in bounds:
+        raise ValueError(f"unknown bound {which!r}; expected one of {bounds}")
     for name, v in (("D", D), ("L", L), ("n", n), ("K", K), ("C", C)):
         if not v > 0:
             raise ValueError(f"{name} must be positive")
-    if which.endswith("-fixed"):
-        if t < 1:
-            raise ValueError("horizon t must be at least 1")
-        if which == "sphere-fixed":
-            return (L * D / np.sqrt(t)) * np.sqrt(2.0 * n / K) * np.sqrt(C + K / n)
-        return (L * D / np.sqrt(t)) * np.sqrt(2.0 * (1.0 + (n - 1.0) / K))
-    if t < 2:
-        raise ValueError(f"bound {which!r} is undefined for t < 2 (sqrt(t) - 1 vanishes at t = 1)")
-    tail = (2.0 + np.log(t)) / (np.sqrt(t) - 1.0)
-    if which == "sphere-decaying":
-        return (D * L / np.sqrt(2.0)) * np.sqrt(n / K) * np.sqrt(C + K / n) * tail
-    if which == "sphere-vanishing":
-        return (D * L / 2.0) * np.sqrt(n / K) * np.sqrt(2.0 + C + K / n) * tail
-    if which == "gaussian-decaying":
-        return L * D * np.sqrt(2.0) * np.sqrt(1.0 + (n - 1.0) / K) * tail
-    return (D * L / 2.0) * np.sqrt(1.0 + (n + 3.0) / K) * tail
+    entry = STEP_KINDS[which]
+    first = 1 if "T" in entry.needs else 2  # sqrt(t) - 1 vanishes at t = 1
+    if t < first:
+        raise ValueError(f"bound {which!r} is undefined for t < {first}")
+    return entry.bound(D, L, n, K, C, t)
 
 
 @dataclass
@@ -306,7 +341,7 @@ def _lockstep_starts(x1, rng) -> tuple[np.ndarray, tuple, bool]:
     return x, tuple(rng), False
 
 
-def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | Kernel,
+def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
             K: int, T: int, rng, *, record_trajectory: bool = False) -> RunRecord:
     """Run ``T`` projected two-point SGD steps from ``x1`` inside ``X``.
 
@@ -324,10 +359,12 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
     iteration evaluates all ``S * 2K`` probes in one call.  A run's record
     equals that of the same run alone, bit for bit, when ``F`` and
     ``X.project`` treat rows independently.  A start ``(n,)`` is the case
-    S = 1.  ``schedule`` gives every ``rho_t`` and ``h_t`` in one array call
-    up front (the width of a :class:`Kernel` passed as `kernel` is not used),
-    so a fixed rule's horizon below ``T`` or a width that is not positive
-    raises ``ValueError`` before any evaluation, as a bad start does.
+    S = 1.  ``kernel`` names the direction law, ``"sphere"`` or ``"gaussian"``;
+    a :class:`Kernel`, whose width the schedule would override, raises
+    ``TypeError``.  ``schedule`` gives every ``rho_t`` and ``h_t`` in one
+    array call up front, so a fixed rule's horizon below ``T`` or a width
+    that is not positive raises ``ValueError`` before any evaluation, as a
+    bad start does.
     """
     if T < 1:
         raise ValueError("iteration count T must be at least 1")
@@ -339,7 +376,11 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str | K
     rhos, hs = schedule.values(np.arange(1, T + 1))
     if not np.all(hs > 0):  # a coupled width is L * rho / K, with L possibly estimated as 0
         raise ValueError("kernel width h must be positive")
-    draw = (kernel if isinstance(kernel, Kernel) else Kernel(kernel, 1.0)).sample_directions
+    if isinstance(kernel, Kernel):
+        raise TypeError(f"kernel must name a direction law such as {kernel.variant!r}, not be a "
+                        f"Kernel: its width h = {kernel.h} would be ignored, as the schedule "
+                        f"sets every width")
+    draw = Kernel(kernel, 1.0).sample_directions
     gens, seeds = zip(*map(_as_rng, rng))
 
     start = time.perf_counter()

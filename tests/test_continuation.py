@@ -10,6 +10,7 @@ from smoothopt.continuation import (
 )
 from smoothopt.optimizer import Schedule, StepRule, WidthRule, sgd_run
 from smoothopt.penalty import Box
+from smoothopt.smoothing import Kernel
 
 
 X2 = Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
@@ -73,6 +74,15 @@ class TestSmoothingPlan:
         assert plan.widths[0] == pytest.approx(0.5 * float(np.linalg.norm(upper - lower)))
 
 
+def test_package_quick_start_runs(capsys):
+    import textwrap
+    import smoothopt
+    # the indented block after "Quick start::", up to the next paragraph
+    block = smoothopt.__doc__.split("Quick start::")[1].split("\n\nEvery objective")[0]
+    exec(textwrap.dedent(block), {})
+    assert capsys.readouterr().out.startswith("area: ")
+
+
 class TestSuccessiveSmoothing:
     def _plan(self, widths=(1.0, 0.5, 0.25), T=40, K=1, beta=1.0):
         steps = tuple(StepRule.constant(0.02 * h) for h in widths)
@@ -90,6 +100,24 @@ class TestSuccessiveSmoothing:
         assert res.best_value == rec.best_value
         np.testing.assert_array_equal(res.stages[0].returned_point, rec.weighted_average)
         assert res.evaluations == rec.evaluations
+
+    def test_coupled_one_stage_plan_matches_sgd_run_and_names_no_width(self):
+        coupled = WidthRule.coupled(L=2.0, K=2)
+        plan = SmoothingPlan(widths=(None,), steps=(StepRule("sphere-decaying", D=4, L=3, n=2, K=2),),
+                             iterations=50, batch_size=2, width_rule=coupled)
+        x0 = np.array([2.0, -1.0])
+        res = successive_smoothing(l1_batch, X2, plan, "gaussian", x0, np.random.default_rng(3))
+        rec = sgd_run(l1_batch, X2, x0, Schedule(plan.steps[0], coupled), "gaussian", 2, 50,
+                      np.random.default_rng(3))
+        assert res.best_value == rec.best_value and res.stages[0].h is None
+        np.testing.assert_array_equal(res.stages[0].returned_point, rec.weighted_average)
+        with pytest.raises(TypeError):  # an unnamed width needs a width rule
+            SmoothingPlan(widths=(None,), steps=plan.steps, iterations=50, batch_size=2)
+
+    def test_kernel_object_rejected(self):
+        plan = self._plan()
+        with pytest.raises(TypeError, match="h = 0.25"):
+            successive_smoothing(l1_batch, X2, plan, Kernel.sphere(0.25), np.zeros(2), 0)
 
     def test_beta_zero_chains_returned_points_exactly(self):
         plan = self._plan(beta=0.0)

@@ -21,7 +21,6 @@ def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, record_trajectory=Fal
 
     Takes a batch objective and the same arguments as ``sgd_run``.
     """
-    variant = kernel.variant if isinstance(kernel, Kernel) else kernel
     x = np.array(x1, dtype=float)
     single = x.ndim == 1
     if single:
@@ -38,7 +37,7 @@ def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, record_trajectory=Fal
         sum_x += x
         sum_rho_x += rho * x
         sum_rho += rho
-        kern = Kernel(variant, h)
+        kern = Kernel(kernel, h)
         Y = np.array([kern.sample_directions(dim, K, g) for g in gens])
         hY = h * Y
         P = np.concatenate([x[:, None, :] + hY, x[:, None, :] - hY], axis=1)
@@ -94,7 +93,7 @@ def states(gens):
 
 DRAWS = dict(S=st.integers(1, 4), K=st.integers(1, 12), n=st.integers(1, 40),
              T=st.integers(1, 15), draw_rows=st.integers(1, 40),
-             kernel=st.sampled_from(["sphere", "gaussian", Kernel.sphere(5.0)]),
+             kernel=st.sampled_from(["sphere", "gaussian"]),
              seed=st.integers(0, 2 ** 32 - 1))
 
 

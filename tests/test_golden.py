@@ -20,6 +20,7 @@ import pytest
 from smoothopt.harness.cli import main
 from smoothopt.harness.config import parse_config
 from smoothopt.harness.runner import execute_config
+from smoothopt.optimizer import step_kinds
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -144,6 +145,12 @@ def bench_digests(n: int, output: Path) -> dict:
 
 def load_digests() -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+def test_matrix_covers_every_step_kind_of_each_mode():
+    covered = {(mode, case[mode]["step"]["kind"])
+               for case in CASES.values() for mode in ("plan", "schedule") if mode in case}
+    assert covered == {(mode, kind) for mode in ("plan", "schedule") for kind in step_kinds(mode)}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -3,16 +3,19 @@ import hashlib
 import importlib.util
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smoothopt.harness import config as config_module
 from smoothopt.harness.cli import main
 from smoothopt.harness.config import ConfigError, load_config, parse_config
 from smoothopt.harness.runner import CSV_COLUMNS, execute_config
 from smoothopt.harness.validate import gradient_suite
+from smoothopt.optimizer import step_kinds
 
 
 BASE = {
@@ -66,6 +69,40 @@ class TestConfigValidation:
                            "width": {"kind": "fixed", "h": 0.1}}
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("mode", ["plan", "schedule"])
+    def test_step_kinds_come_from_the_registry(self, mode):
+        section = {"step": {"kind": "sphere-vanishing"}, "width": {"kind": "coupled"}}
+        with pytest.raises(ConfigError) as err:
+            parse_config({**{k: v for k, v in BASE.items() if k != "plan"}, mode: section})
+        assert f"one of {step_kinds(mode)}" in str(err.value)
+        # the documents list the same kinds per mode
+        line = f"{mode}: {', '.join(step_kinds(mode))}"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for doc in (config_module.__doc__, readme):
+            assert line in " ".join(doc.split())
+
+    @pytest.mark.parametrize("mode", ["plan", "schedule"])
+    def test_section_must_be_a_mapping(self, mode):
+        data = {**{k: v for k, v in BASE.items() if k != "plan"}, mode: 5}
+        with pytest.raises(ConfigError, match=f"{mode} must be a mapping"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("section, path", [
+        ({"plan": {"h0": 0, "stages": 2}}, "plan.h0"),
+        ({"schedule": {"step": {"kind": "constant", "rho": 0.1},
+                       "width": {"kind": "fixed", "h": 0}}}, "schedule.width.h")])
+    def test_zero_width_fails_at_parse_time(self, section, path):
+        data = {**{k: v for k, v in BASE.items() if k != "plan"}, **section}
+        with pytest.raises(ConfigError, match=f"{path}: .* must be positive"):
+            parse_config(data)
+
+    def test_import_leaves_yaml_unloaded(self):
+        # only reading a file needs PyYAML; set-up and parse_config do not pay for it
+        code = "import sys, smoothopt.harness.runner; print('yaml' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "False"
 
     def test_error_carries_line_anchor(self, tmp_path):
         path = write_config(tmp_path, "\n".join([

@@ -134,7 +134,7 @@ def test_schedule_arrays_equal_scalar_calls_bit_for_bit(kind, coupled, D, L, C, 
 
 
 def test_array_t_checked_like_scalar_t():
-    rule = StepRule.sphere_fixed(D=1, L=1, n=2, K=1, C=1, T=10)
+    rule = StepRule("sphere-fixed", D=1, L=1, n=2, K=1, C=1, T=10)
     with pytest.raises(ValueError, match="t = 11"):
         rule.value(np.arange(1, 12))
     with pytest.raises(ValueError, match="starts at 1"):
@@ -143,10 +143,10 @@ def test_array_t_checked_like_scalar_t():
 
 @pytest.mark.parametrize("schedule, T", [
     # fixed rules with a horizon shorter than the run
-    (Schedule(StepRule.sphere_fixed(D=1, L=1, n=2, K=1, T=5), WidthRule.fixed(0.1)), 6),
-    (Schedule(StepRule.gaussian_fixed(D=1, L=1, n=2, K=1, T=5), WidthRule.fixed(0.1)), 40),
+    (Schedule(StepRule("sphere-fixed", D=1, L=1, n=2, K=1, T=5), WidthRule.fixed(0.1)), 6),
+    (Schedule(StepRule("gaussian-fixed", D=1, L=1, n=2, K=1, T=5), WidthRule.fixed(0.1)), 40),
     # a coupled width L * rho / K with an estimated L of 0
-    (Schedule(StepRule.sphere_decaying(D=1, L=1, n=2, K=1), WidthRule.coupled(L=0.0, K=1)), 3),
+    (Schedule(StepRule("sphere-decaying", D=1, L=1, n=2, K=1), WidthRule.coupled(L=0.0, K=1)), 3),
 ])
 def test_bad_schedule_fails_before_any_evaluation(schedule, T):
     rows = []

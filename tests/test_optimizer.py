@@ -6,13 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from smoothopt.penalty import Ball, Box
 from smoothopt.optimizer import (
+    STEP_KINDS,
     Schedule,
     StepRule,
     WidthRule,
     estimate_lipschitz,
     sgd_run,
     rate_bound,
+    step_kinds,
 )
+from smoothopt.smoothing import Kernel
 
 
 def l1_batch(X):
@@ -22,40 +25,68 @@ def l1_batch(X):
 class TestStepRules:
     def test_sphere_fixed_worked_example(self):
         # D = L = n = K = C = 1, T = 4: rho = 1 / sqrt(2*4*2) = 1/4
-        rule = StepRule.sphere_fixed(D=1, L=1, n=1, K=1, C=1, T=4)
+        rule = StepRule("sphere-fixed", D=1, L=1, n=1, K=1, C=1, T=4)
         assert rule.value(1) == pytest.approx(0.25)
         assert rule.value(4) == pytest.approx(0.25)
 
     def test_sphere_decaying_worked_example(self):
         # D = L = C = 1, n = 4, K = 1, t = 10: rho = sqrt(4) / sqrt(2*10*(1 + 1/4)) = 2/5;
         # the Gaussian formula would give 1/sqrt(2*10*(1 + 3/1)) = 1/sqrt(80)
-        rule = StepRule.sphere_decaying(D=1, L=1, n=4, K=1, C=1)
+        rule = StepRule("sphere-decaying", D=1, L=1, n=4, K=1, C=1)
         assert rule.value(10) == pytest.approx(0.4)
 
-    def test_kind_without_formula_raises(self, monkeypatch):
-        # A kind admitted by the constructor but matched by no formula must
-        # fail loudly instead of falling through to another kernel's rule.
-        import smoothopt.optimizer as optimizer
-        monkeypatch.setattr(optimizer, "_STEP_KINDS", optimizer._STEP_KINDS + ("sphere-vanishing",))
-        rule = StepRule("sphere-vanishing", D=1, L=1, n=2, K=1)
-        with pytest.raises(ValueError):
-            rule.value(1)
+    def test_kind_without_formula_raises(self):
+        # A kind in the table without a step formula (a bound only) cannot be
+        # built, so it cannot fall through to another kernel's rule.
+        assert not callable(STEP_KINDS["sphere-vanishing"].rho)
+        with pytest.raises(ValueError, match="unknown step rule 'sphere-vanishing'"):
+            StepRule("sphere-vanishing", D=1, L=1, n=2, K=1)
+
+    def test_registry_is_complete(self):
+        for kind, entry in STEP_KINDS.items():
+            # a step formula and a bound, or the reason there is none
+            assert callable(entry.rho) or entry.rho.strip(), kind
+            assert callable(entry.bound) or entry.bound.strip(), kind
+            if not callable(entry.rho):
+                continue
+            assert entry.needs and entry.params and entry.modes, kind
+            assert set(entry.modes) <= {"plan", "schedule"}, kind
+            # the config parameters build a rule that passes its own checks
+            params = {name: 0.5 for name, default in entry.params.items() if default is None}
+            rule = StepRule.build(kind, params, h=0.5, D=2.0, L=3.0, n=4, K=2, T=10)
+            assert rule.kind == kind and rule.value(10) > 0
+        # every bound either has its step rule or is listed as unmatched
+        unmatched = [kind for kind, entry in STEP_KINDS.items()
+                     if callable(entry.bound) and not callable(entry.rho)]
+        assert unmatched == ["sphere-vanishing"]
+        assert step_kinds() == tuple(k for k in STEP_KINDS if k != "sphere-vanishing")
+
+    def test_build_resolves_auto_and_scales_constant(self):
+        rule = StepRule.build("sphere-decaying", {"D": "auto", "L": 4.0}, h=0.5, D=2.0, L=3.0,
+                              n=4, K=2, T=10)
+        assert (rule.D, rule.L, rule.C, rule.T) == (2.0, 4.0, 1.0, None)
+        rule = StepRule.build("constant-scaled", {"alpha": 0.3}, h=0.5, D=2.0, L=3.0, n=4,
+                              K=2, T=10)
+        assert rule.value(7) == 0.3 * 0.5 / 3.0
+        with pytest.raises(ValueError, match="needs its parameter 'rho'"):
+            StepRule.build("constant", {}, h=0.5, D=2.0, L=3.0, n=4, K=2, T=10)
 
     def test_gaussian_fixed_worked_example(self):
         # D = L = 1, n = 3, K = 2, T = 4: rho = 1 / sqrt(2*4*(1 + 2/2)) = 1/4 for every t <= T
-        rule = StepRule.gaussian_fixed(D=1, L=1, n=3, K=2, T=4)
+        rule = StepRule("gaussian-fixed", D=1, L=1, n=3, K=2, T=4)
         assert [rule.value(t) for t in (1, 2, 4)] == pytest.approx([0.25] * 3, rel=1e-15)
 
     def test_gaussian_decaying_worked_example(self):
         # D = 3, L = 1, n = 3, K = 1: rho_t = 3 / sqrt(2*t*(1 + 2/1)) = 3 / sqrt(6t),
         # so 1/2 at t = 6 and 1/4 at t = 24
-        rule = StepRule.gaussian_decaying(D=3, L=1, n=3, K=1)
+        rule = StepRule("gaussian-decaying", D=3, L=1, n=3, K=1)
         assert rule.value(6) == pytest.approx(0.5, rel=1e-15)
         assert rule.value(24) == pytest.approx(0.25, rel=1e-15)
 
     def test_gaussian_vanishing_worked_example(self):
         # D = L = 1, n = 1, K = 4, t = 1: rho = 1/sqrt(2), coupled h = rho/4
-        sched = Schedule(StepRule.gaussian_vanishing(D=1, L=1, n=1, K=4), WidthRule.coupled())
+        sched = Schedule(StepRule("gaussian-vanishing", D=1, L=1, n=1, K=4),
+                         WidthRule.coupled(L=1, K=4))
         rho, h = sched.values(1)
         assert rho == pytest.approx(1 / math.sqrt(2))
         assert h == pytest.approx(rho / 4)
@@ -66,40 +97,39 @@ class TestStepRules:
             assert sched.values(t) == (0.1, 0.25)
 
     def test_fixed_rules_reject_t_beyond_horizon(self):
-        rule = StepRule.sphere_fixed(D=1, L=1, n=2, K=1, C=1, T=10)
+        rule = StepRule("sphere-fixed", D=1, L=1, n=2, K=1, C=1, T=10)
         with pytest.raises(ValueError):
             rule.value(11)
-        rule3 = StepRule.gaussian_fixed(D=1, L=1, n=2, K=1, T=5)
+        rule3 = StepRule("gaussian-fixed", D=1, L=1, n=2, K=1, T=5)
         with pytest.raises(ValueError):
             rule3.value(6)
 
     def test_positive_and_nonincreasing(self):
-        rules = [StepRule.sphere_decaying(D=2, L=3, n=4, K=2, C=1),
-                 StepRule.gaussian_decaying(D=2, L=3, n=4, K=2),
-                 StepRule.gaussian_vanishing(D=2, L=3, n=4, K=2)]
+        rules = [StepRule("sphere-decaying", D=2, L=3, n=4, K=2, C=1),
+                 StepRule("gaussian-decaying", D=2, L=3, n=4, K=2),
+                 StepRule("gaussian-vanishing", D=2, L=3, n=4, K=2)]
         for rule in rules:
             values = [rule.value(t) for t in range(1, 200)]
             assert all(v > 0 for v in values)
             assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_coupled_width_tracks_step(self):
-        sched = Schedule(StepRule.sphere_decaying(D=1, L=2, n=3, K=4), WidthRule.coupled())
+        sched = Schedule(StepRule("sphere-decaying", D=1, L=2, n=3, K=4), WidthRule.coupled(L=2, K=4))
         for t in (1, 7, 50):
             rho, h = sched.values(t)
             assert h == pytest.approx(2 * rho / 4)
 
     def test_coupled_needs_L_and_K(self):
-        sched = Schedule(StepRule.constant(0.1), WidthRule.coupled())
-        with pytest.raises(ValueError):
-            sched.values(1)
+        with pytest.raises(ValueError, match="needs L and K"):
+            WidthRule("coupled", L=2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             StepRule.constant(-1.0)
         with pytest.raises(ValueError):
-            StepRule.sphere_decaying(D=0, L=1, n=1, K=1)
+            StepRule("sphere-decaying", D=0, L=1, n=1, K=1)
         with pytest.raises(ValueError):
-            StepRule.sphere_fixed(D=1, L=1, n=1, K=1, T=None)
+            StepRule("sphere-fixed", D=1, L=1, n=1, K=1, T=None)
         with pytest.raises(ValueError):
             WidthRule.fixed(0.0)
 
@@ -139,7 +169,10 @@ class TestTheoremBound:
         # n times the unbiased-gradient step D / (L * sqrt(T) * sqrt(2n/K * (C + K/n)))
         # that inverts the bound: rho * bound = D^2 * s(n) / T, s(n) = n.  The
         # Gaussian direction is already unbiased: s(n) = 1.
-        for kind, s_n in (("sphere-fixed", n), ("gaussian-fixed", 1)):
+        kinds = [kind for kind, entry in STEP_KINDS.items() if "T" in entry.needs]
+        assert kinds
+        for kind in kinds:
+            s_n = {"sphere": n, "gaussian": 1}[kind.split("-")[0]]
             rho = StepRule(kind, D=D, L=L, n=n, K=K, C=C, T=T).value(T)
             bound = rate_bound(kind, D=D, L=L, n=n, K=K, C=C, t=T)
             assert rho * bound == pytest.approx(D ** 2 * s_n / T, rel=1e-12)
@@ -190,7 +223,7 @@ class TestSgdRun:
 
     def test_iterates_stay_in_projection_set(self):
         X = Ball(np.zeros(4), 1.0)
-        sched = Schedule(StepRule.sphere_decaying(D=2, L=2, n=4, K=2), WidthRule.fixed(0.2))
+        sched = Schedule(StepRule("sphere-decaying", D=2, L=2, n=4, K=2), WidthRule.fixed(0.2))
         rng = np.random.default_rng(2)
         rec = sgd_run(l1_batch, X, X.sample(1, rng)[0], sched, "sphere", 2, 300, rng,
                       record_trajectory=True)
@@ -203,6 +236,13 @@ class TestSgdRun:
         with pytest.raises(ValueError):
             sgd_run(lambda X: np.zeros(len(X)), X, np.array([2.0, 0.0]), sched, "sphere", 1, 1,
                     rng=0)
+
+    def test_kernel_object_rejected_naming_its_width(self):
+        # the schedule sets every width, so a Kernel's own would be ignored
+        X = Box(np.zeros(2), np.ones(2))
+        sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
+        with pytest.raises(TypeError, match="h = 0.7"):
+            sgd_run(l1_batch, X, np.full(2, 0.5), sched, Kernel.gaussian(0.7), 1, 1, rng=0)
 
     def test_evaluation_accounting(self):
         calls = 0
@@ -220,7 +260,7 @@ class TestSgdRun:
 
     def test_seed_determinism(self):
         X = Ball(np.zeros(3), 1.0)
-        sched = Schedule(StepRule.gaussian_decaying(D=2, L=2, n=3, K=2), WidthRule.fixed(0.1))
+        sched = Schedule(StepRule("gaussian-decaying", D=2, L=2, n=3, K=2), WidthRule.fixed(0.1))
         a = sgd_run(l1_batch, X, np.zeros(3), sched, "gaussian", 2, 100, rng=77)
         b = sgd_run(l1_batch, X, np.zeros(3), sched, "gaussian", 2, 100, rng=77)
         np.testing.assert_array_equal(a.x_last, b.x_last)
@@ -252,7 +292,7 @@ class TestSgdRun:
     def test_descends_on_l1_ball(self):
         n, K, T = 10, 8, 3000
         X = Ball(np.zeros(n), 1.0)
-        sched = Schedule(StepRule.sphere_decaying(D=2.0, L=math.sqrt(n), n=n, K=K, C=1.0),
+        sched = Schedule(StepRule("sphere-decaying", D=2.0, L=math.sqrt(n), n=n, K=K, C=1.0),
                          WidthRule.fixed(0.1))
         rng = np.random.default_rng(6)
         x1 = X.sample(1, rng)[0]
