@@ -231,7 +231,8 @@ def default_plan(X: FeasibleSet, *, iterations: int, batch_size: int,
     if not diameter > 0:
         raise ValueError("projection set has zero diameter")
     widths = geometric_widths(0.5 * diameter, stages, decay)
-    steps = tuple(StepRule.build(step_kind, {"alpha": step_alpha, "C": C}, h=h, D=2.0 * h, L=L,
-                                 n=lower.size, K=batch_size, T=iterations) for h in widths)
+    step = {"kind": step_kind, "alpha": step_alpha, "C": C}
+    steps = tuple(StepRule.build(step, h=h, D=2.0 * h, L=L, n=lower.size, K=batch_size,
+                                 T=iterations) for h in widths)
     return SmoothingPlan(widths=widths, steps=steps, iterations=iterations,
                          batch_size=batch_size, ravine_beta=beta)

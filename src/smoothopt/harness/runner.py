@@ -108,9 +108,8 @@ def resolve_plan(cfg: RunConfig, problem: ProblemInstance) -> SmoothingPlan:
     L = _resolve_L(cfg, problem, scale=h0)
     whole = plan["mode"] == "schedule"
     steps = tuple(
-        StepRule.build(plan["step"]["kind"], plan["step"], h=h,
-                       D=diameter if whole else 2.0 * h, L=L, n=problem.dimension,
-                       K=cfg.batch_size, T=cfg.iterations)
+        StepRule.build(plan["step"], h=h, D=diameter if whole else 2.0 * h, L=L,
+                       n=problem.dimension, K=cfg.batch_size, T=cfg.iterations)
         for h in widths)
     width_rule = None
     if plan["couple_widths"]:

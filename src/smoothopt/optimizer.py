@@ -173,16 +173,17 @@ class StepRule:
                 raise ValueError(f"step rule {self.kind!r} needs {name} > 0")
 
     @classmethod
-    def build(cls, kind: str, params: dict, **context) -> "StepRule":
-        """Rule of ``kind`` from the parameters of a config ``step`` section.
+    def build(cls, step: dict, **context) -> "StepRule":
+        """The rule a config ``step`` section describes: its ``kind`` and parameters.
 
         ``context`` holds the stage width ``h``, the ``D`` and ``L`` that an
         ``"auto"`` parameter takes, and ``n``, ``K`` and the horizon ``T``.
         """
+        kind = step["kind"]
         entry = _step_kind(kind)
         p = dict(context)
         for name, default in entry.params.items():
-            value = params.get(name, default)
+            value = step.get(name, default)
             if value is None:
                 raise ValueError(f"step rule {kind!r} needs its parameter {name!r}")
             if value != "auto":

@@ -52,8 +52,8 @@ class TestStepRules:
             assert entry.needs and entry.params and entry.modes, kind
             assert set(entry.modes) <= {"plan", "schedule"}, kind
             # the config parameters build a rule that passes its own checks
-            params = {name: 0.5 for name, default in entry.params.items() if default is None}
-            rule = StepRule.build(kind, params, h=0.5, D=2.0, L=3.0, n=4, K=2, T=10)
+            step = {name: 0.5 for name, default in entry.params.items() if default is None}
+            rule = StepRule.build(dict(step, kind=kind), h=0.5, D=2.0, L=3.0, n=4, K=2, T=10)
             assert rule.kind == kind and rule.value(10) > 0
         # every bound either has its step rule or is listed as unmatched
         unmatched = [kind for kind, entry in STEP_KINDS.items()
@@ -62,14 +62,14 @@ class TestStepRules:
         assert step_kinds() == tuple(k for k in STEP_KINDS if k != "sphere-vanishing")
 
     def test_build_resolves_auto_and_scales_constant(self):
-        rule = StepRule.build("sphere-decaying", {"D": "auto", "L": 4.0}, h=0.5, D=2.0, L=3.0,
-                              n=4, K=2, T=10)
+        rule = StepRule.build({"kind": "sphere-decaying", "D": "auto", "L": 4.0}, h=0.5, D=2.0,
+                              L=3.0, n=4, K=2, T=10)
         assert (rule.D, rule.L, rule.C, rule.T) == (2.0, 4.0, 1.0, None)
-        rule = StepRule.build("constant-scaled", {"alpha": 0.3}, h=0.5, D=2.0, L=3.0, n=4,
-                              K=2, T=10)
+        rule = StepRule.build({"kind": "constant-scaled", "alpha": 0.3}, h=0.5, D=2.0, L=3.0,
+                              n=4, K=2, T=10)
         assert rule.value(7) == 0.3 * 0.5 / 3.0
         with pytest.raises(ValueError, match="needs its parameter 'rho'"):
-            StepRule.build("constant", {}, h=0.5, D=2.0, L=3.0, n=4, K=2, T=10)
+            StepRule.build({"kind": "constant"}, h=0.5, D=2.0, L=3.0, n=4, K=2, T=10)
 
     def test_gaussian_fixed_worked_example(self):
         # D = L = 1, n = 3, K = 2, T = 4: rho = 1 / sqrt(2*4*(1 + 2/2)) = 1/4 for every t <= T
