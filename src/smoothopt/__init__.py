@@ -31,8 +31,6 @@ from .penalty import (
     CustomSet,
     FeasibleSet,
     PenaltySpec,
-    ball_constraint,
-    box_constraints,
     penalize,
     penalized_batch,
     penalized_function,
@@ -71,7 +69,6 @@ from .problems import (
     ProblemInstance,
     calibration,
     make_problem,
-    polygon_area,
     problem_names,
 )
 

@@ -44,13 +44,19 @@ import numpy as np
 
 from ..optimizer import ITERATE_TOL, STEP_KINDS, step_kinds
 from ..penalty import Ball, Box, FeasibleSet
-from ..problems import make_problem, problem_names
+from ..problems import make_problem, problem_names, problem_parameters
 
 __all__ = ["ConfigError", "RunConfig", "constraint_set", "load_config", "parse_config",
            "projection_set"]
 
 _KERNELS = ("sphere", "gaussian")
+_TOP_KEYS = ("problem", "kernel", "seeds", "budget", "output", "iterations", "batch_size",
+             "plan", "schedule", "constraint", "start", "record_trajectory")
+_CONSTRAINT_KEYS = {"ball": ("type", "center", "radius", "penalty"),
+                    "box": ("type", "lower", "upper", "penalty")}
 _PENALTY_KEYS = ("kind", "M", "anchor")
+_PLAN_KEYS = ("h0", "stages", "decay", "beta", "couple_widths", "step")
+_ABSENT = object()
 
 
 class ConfigError(ValueError):
@@ -148,11 +154,18 @@ class _Checker:
             node = node[part]
         return node
 
+    def keys(self, path: str, known, what: str = "key"):
+        """Fail at the first key of the mapping at `path` (the root when empty) not in `known`."""
+        for key in self.get(path, default={}) if path else self.data:
+            if key not in known:
+                self.fail(f"{path}.{key}" if path else str(key),
+                          f"unknown {what} (known keys: {sorted(known)})")
+
     def number(self, path: str, *, default=None, required=False, minimum=None,
                integer=False, allow_auto=False):
-        value = self.get(path, default=default, required=required)
-        if value is None:
-            return None
+        value = self.get(path, default=_ABSENT, required=required)
+        if value is _ABSENT:
+            return default
         if allow_auto and value == "auto":
             return "auto"
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -187,19 +200,8 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         raise ConfigError("config must be a mapping", filename=filename)
     c = _Checker(data, lines or {}, filename)
 
-    known = {"problem", "kernel", "seeds", "budget", "output", "iterations",
-             "batch_size", "plan", "schedule", "constraint", "start",
-             "record_trajectory"}
-    for key in data:
-        if key not in known:
-            c.fail(str(key), f"unknown key (known keys: {sorted(known)})")
-
-    name = c.get("problem.name", required=True)
-    if name not in problem_names():
-        c.fail("problem.name", f"unknown problem {name!r}; known: {problem_names()}")
-    problem_params = {k: v for k, v in c.get("problem", {}).items() if k != "name"}
-    if name == "polygon":
-        c.number("problem.n", required=True, integer=True, minimum=3)
+    c.keys("", _TOP_KEYS)
+    name, problem_params = _check_problem(c)
 
     kernel = c.get("kernel", default="sphere")
     if kernel not in _KERNELS:
@@ -207,6 +209,7 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
 
     seeds_raw = c.get("seeds", required=True)
     if isinstance(seeds_raw, dict):
+        c.keys("seeds", ("master", "count"))
         master = c.number("seeds.master", required=True, integer=True, minimum=0)
         count = c.number("seeds.count", required=True, integer=True, minimum=1)
         seeds = tuple(master + i for i in range(count))
@@ -262,6 +265,29 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
     )
 
 
+def _check_problem(c: _Checker) -> tuple[str, dict]:
+    """The problem's name and its parameters, checked as ``make_problem`` takes them."""
+    name = c.get("problem.name", required=True)
+    if name not in problem_names():
+        c.fail("problem.name", f"unknown problem {name!r}; known: {problem_names()}")
+    polygon = name == "polygon"
+    known = problem_parameters(name)
+    c.keys("problem", ["name", *known], f"parameter of {name!r}")
+    params = {}
+    for key in known:
+        if key == "n" and (polygon or "n" in c.get("problem")):
+            params["n"] = c.number("problem.n", required=True, integer=True,
+                                   minimum=3 if polygon else 1)
+            dim = params["n"] if polygon else make_problem(name, n=params["n"]).dimension
+            if dim != params["n"]:  # a 1-D calibration function would ignore it
+                c.fail("problem.n", f"{name!r} is {dim}-dimensional, got n = {params['n']}")
+        elif key in c.get("problem"):  # a penalty coefficient of the polygon
+            params[key] = c.number(f"problem.{key}")
+            if not 0 < params[key] < math.inf:
+                c.fail(f"problem.{key}", f"must be positive and finite, got {params[key]!r}")
+    return name, params
+
+
 def _check_constraint(c: _Checker, name: str, constraint) -> dict:
     """Validate the constraint set and its penalty, as the runner will build them."""
     if name == "polygon":
@@ -272,26 +298,24 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
     dim = projection_set(name, n, None).dimension
 
     ctype = c.get("constraint.type")
+    if not isinstance(ctype, str) or ctype not in _CONSTRAINT_KEYS:
+        c.fail("constraint.type", f"constraint type must be 'box' or 'ball', got {ctype!r}")
+    c.keys("constraint", _CONSTRAINT_KEYS[ctype], f"key of a {ctype} constraint")
     if ctype == "ball":
         c.vector("constraint.center", dim)
         radius = c.number("constraint.radius", required=True)
         if not radius > 0:
             c.fail("constraint.radius", f"radius must be positive, got {radius!r}")
-    elif ctype == "box":
+    else:
         lower, upper = c.vector("constraint.lower", dim), c.vector("constraint.upper", dim)
         if np.any(lower > upper):
             c.fail("constraint.upper", "upper bound below the lower bound in some coordinate")
-    else:
-        c.fail("constraint.type", f"constraint type must be 'box' or 'ball', got {ctype!r}")
     feasible = constraint_set(constraint)
 
     pen = c.get("constraint.penalty", default={"kind": "distance", "M": 10.0})
     if not isinstance(pen, dict):
         c.fail("constraint.penalty", "penalty must be a mapping")
-    for key in pen:
-        if key not in _PENALTY_KEYS:
-            c.fail(f"constraint.penalty.{key}",
-                   f"unknown penalty key (known keys: {list(_PENALTY_KEYS)})")
+    c.keys("constraint.penalty", _PENALTY_KEYS, "penalty key")
     kind = pen.get("kind", "distance")
     if kind == "constraint-sum":
         c.fail("constraint.penalty.kind",
@@ -340,6 +364,8 @@ def _check_plan(c: _Checker) -> dict:
     kind = step["kind"]
     if kind not in step_kinds(mode):
         c.fail(f"{mode}.step.kind", f"step kind must be one of {step_kinds(mode)}, got {kind!r}")
+    c.keys(mode, _PLAN_KEYS if mode == "plan" else ("step", "width"), f"{mode} key")
+    c.keys(f"{mode}.step", ["kind", *STEP_KINDS[kind].params], f"parameter of step kind {kind!r}")
     for name, default in STEP_KINDS[kind].params.items():
         c.number(f"{mode}.step.{name}", default=default, required=default is None,
                  allow_auto=default == "auto", minimum=0.0)
@@ -363,6 +389,7 @@ def _check_plan(c: _Checker) -> dict:
     width = c.get("schedule.width", required=True)
     if not isinstance(width, dict) or width.get("kind") not in ("fixed", "coupled"):
         c.fail("schedule.width", "width must be {kind: fixed, h: ...} or {kind: coupled}")
+    c.keys("schedule.width", ("kind", "h"), "width key")
     out["couple_widths"] = width["kind"] == "coupled"
     h = c.number("schedule.width.h", required=not out["couple_widths"], minimum=0.0)
     if h == 0 and not out["couple_widths"]:

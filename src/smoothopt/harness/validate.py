@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..optimizer import StepRule, Schedule, WidthRule, sgd_run, rate_bound
-from ..penalty import Ball, Box, CustomSet, PenaltySpec, penalize
+from ..penalty import Ball, Box, CustomSet, PenaltySpec, _row_norms, one_row, penalized_batch
 from ..problems import calibration
 from ..smoothing import Kernel, _order, grad_estimate, second_moment_check, smoothed_value
 
@@ -327,7 +327,7 @@ def _grid_exactness(f_batch, project_batch, contains_batch, X: Box, M: float,
             direct = penalize_spot(P[i])
             if not math.isclose(direct, float(F2[i]), rel_tol=1e-10, abs_tol=1e-10):
                 raise AssertionError(
-                    f"vectorized F2 disagrees with penalize() at {P[i]}: "
+                    f"vectorized F2 disagrees with penalized_batch() at {P[i]}: "
                     f"{F2[i]} vs {direct}")
 
     i2 = np.unravel_index(int(np.argmin(F2)), (grid, grid))
@@ -387,9 +387,7 @@ def exactness_checks(*, grid: int = 400, multipliers=(0.1, 1.0, 10.0),
 
     for name, f_batch, project_batch, contains_batch, feasible, X in problems:
         for M in multipliers:
-            spec = PenaltySpec(kind="distance", M=M)
-            f_point = lambda x, _fb=f_batch: float(_fb(np.asarray(x))[0])
-            spot = lambda x, _f=f_point, _s=feasible, _spec=spec: penalize(_f, _s, _spec, x)
+            spot = one_row(penalized_batch(f_batch, feasible, PenaltySpec(kind="distance", M=M)))
             cell, detail = _grid_exactness(f_batch, project_batch, contains_batch,
                                            X, M, grid, penalize_spot=spot, rng=rng)
             checks.append(Check(
@@ -405,17 +403,14 @@ def lipschitz_checks(*, quotient_pairs: int = 10_000, seed: int = 20240805) -> l
     rng = np.random.default_rng(seed)
     checks = []
     L, M = math.sqrt(2.0), 10.0
-    spec = PenaltySpec(kind="distance", M=M)
-    f_l1 = lambda x: float(np.abs(x).sum())
-    unit_ball = Ball(np.zeros(2), 1.0)
+    F = penalized_batch(calibration("l1-norm", 2).batch, Ball(np.zeros(2), 1.0),
+                        PenaltySpec(kind="distance", M=M))
     pairs = rng.uniform(-5.0, 5.0, size=(quotient_pairs, 2, 2))
-    worst = 0.0
-    for x, y in pairs:
-        fx = penalize(f_l1, unit_ball, spec, x)
-        fy = penalize(f_l1, unit_ball, spec, y)
-        denom = float(np.linalg.norm(x - y))
-        if denom > 0:
-            worst = max(worst, abs(fx - fy) / denom)
+    values = F(pairs.reshape(-1, 2)).reshape(-1, 2)
+    # the one-point norm's bits, so each quotient is that of its pair alone
+    denom = _row_norms(pairs[:, 0] - pairs[:, 1])
+    apart = denom > 0
+    worst = float(np.max(np.abs(values[apart, 0] - values[apart, 1]) / denom[apart], initial=0.0))
     bound = L + 2 * M + 1e-9
     checks.append(Check(
         name="lipschitz propagation (distance penalty)",

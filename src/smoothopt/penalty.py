@@ -17,9 +17,10 @@ outside ``D``.  All operations are pure given immutable inputs and safe to
 call concurrently; user-supplied projection oracles must be side-effect-free.
 
 Batch form.  :func:`penalized_batch` evaluates all three penalties for rows
-``(m, n)`` with one call of a batch objective on the feasible rows, and each
-row's value is bit-identical to :func:`penalize` of that row (given a batch
-objective whose rows equal ``f`` of each row).  Two things make that hold:
+``(m, n)`` with one call of a batch objective on the feasible rows; the
+one-point :func:`penalize` is its one-row call.  A row's value does not
+depend on its batch and is the one-point formula's, ``f(p) + M*||x - p||``
+with numpy's one-point norm and bisection.  Two things make that hold:
 
 * The residual norm ``||x - p||`` of one point is ``sqrt(dot(r, r))``; the
   rows' norms come from a stack of ``(1, n) @ (n, 1)`` products, which give
@@ -54,12 +55,11 @@ __all__ = [
     "PenaltySpec",
     "ContractViolationError",
     "ConfigurationError",
-    "box_constraints",
-    "ball_constraint",
     "ray_retraction",
     "penalize",
     "penalized_function",
     "penalized_batch",
+    "one_row",
     "FEASIBILITY_TOL",
 ]
 
@@ -334,23 +334,6 @@ class CustomSet(FeasibleSet):
         return _as_point(self.bounds[0]), _as_point(self.bounds[1])
 
 
-def box_constraints(lower, upper) -> list:
-    """Explicit inequality functions ``g(x) <= 0`` describing a box."""
-    lower = _as_point(lower)
-    upper = _as_point(upper)
-    gs = []
-    for i in range(lower.size):
-        gs.append(lambda x, i=i: float(x[i] - upper[i]))
-        gs.append(lambda x, i=i: float(lower[i] - x[i]))
-    return gs
-
-
-def ball_constraint(center, radius) -> Callable:
-    """Explicit inequality function ``g(x) <= 0`` describing a Euclidean ball."""
-    center = _as_point(center)
-    return lambda x: float(np.linalg.norm(_as_point(x) - center) - radius)
-
-
 def ray_retraction(feasible: FeasibleSet, anchor, x, tol: float | None = None) -> np.ndarray:
     """Retract ``x`` onto the set along the segment from a feasible anchor.
 
@@ -469,34 +452,31 @@ def _violation(feasible: CustomSet, x) -> float:
     return viol + sum(abs(h(x)) for h in feasible.equalities)
 
 
+def one_row(f_batch: Callable) -> Callable:
+    """The one-point form of a batch objective: ``f_batch`` on the one row ``x``, as a float."""
+    return lambda x: float(f_batch(_as_point(x)[None])[0])
+
+
 def penalize(f: Callable, feasible: FeasibleSet, spec: PenaltySpec, x) -> float:
     """Penalized objective value at ``x``; equals ``f(x)`` on the feasible set.
 
     ``f`` is evaluated at a feasible point only (the projection or the ray
     retraction of ``x``), so it may be undefined outside the set.
     """
-    x = _as_point(x)
-    if spec.kind == "constraint-sum":
-        _require_constraints(feasible)
-        return float(f(feasible.project(x))) + spec.M * _violation(feasible, x)
-    if spec.kind == "distance":
-        p = feasible.project(x)
-        return float(f(p)) + spec.M * float(np.linalg.norm(x - p))
-    p = ray_retraction(feasible, spec.anchor, x, spec.retraction_tol)
-    return float(f(p)) + spec.M * float(np.linalg.norm(x - p))
+    return penalized_function(f, feasible, spec)(x)
 
 
 def penalized_function(f: Callable, feasible: FeasibleSet, spec: PenaltySpec) -> Callable:
-    """Close over :func:`penalize`, giving a total function on the whole space."""
-    return lambda x: penalize(f, feasible, spec, x)
+    """:func:`penalized_batch` of a one-point ``f``, called on one row: a total function."""
+    return one_row(penalized_batch(lambda P: np.array([float(f(p)) for p in P]), feasible, spec))
 
 
 def penalized_batch(f_batch: Callable, feasible: FeasibleSet, spec: PenaltySpec) -> Callable:
-    """Batch form of :func:`penalize`: rows ``(m, n)`` to their ``m`` penalized values.
+    """Rows ``(m, n)`` to their ``m`` penalized values; :func:`penalize` is its one-row call.
 
     ``f_batch`` maps rows to values, each row as ``f`` maps one point, and
     only ever receives feasible rows (one call per batch).  Each value is
-    bit-identical to :func:`penalize` of its row.  The set and the anchor are
+    bit-identical to that of its row alone.  The set and the anchor are
     checked once, here.
     """
     if spec.kind == "constraint-sum":

@@ -18,22 +18,22 @@ form, probing the smoothing construction beyond continuous objectives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .penalty import Box, FeasibleSet
+from .penalty import Box, FeasibleSet, one_row
 from .smoothing import _row_sum
 
 __all__ = [
     "PolygonProblem",
     "CalibrationFunction",
     "ProblemInstance",
-    "polygon_area",
     "calibration",
     "make_problem",
     "problem_names",
+    "problem_parameters",
     "normal_cdf",
 ]
 
@@ -43,15 +43,6 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def polygon_area(r, phi) -> float:
-    """Fan-triangulation area ``0.5 * sum r_{i+1} r_i sin(phi_{i+1})``."""
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if r.shape != phi.shape or r.ndim != 1:
-        raise ValueError("r and phi must be 1-D arrays of equal length")
-    return 0.5 * float(np.sum(r[1:] * r[:-1] * np.sin(phi[1:])))
-
-
 @dataclass(frozen=True)
 class PolygonProblem:
     """Largest Small Polygon with penalty coefficients ``p1, p2, p3``.
@@ -59,7 +50,7 @@ class PolygonProblem:
     The raw decision vector ``z`` has length ``2n``: radii then angles,
     including the pinned first coordinates.  The optimizer works on the
     reduced vector of length ``2n - 2`` (pinned entries removed); see
-    :meth:`embed` / :meth:`reduce`.
+    :meth:`embed`.
     """
 
     n: int
@@ -97,10 +88,6 @@ class PolygonProblem:
         z[:, 1:n] = v[..., :n - 1]
         z[:, n + 1:] = v[..., n - 1:]
         return z
-
-    def reduce(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return np.concatenate([z[1:self.n], z[self.n + 1:]])
 
     # -- penalized objective ----------------------------------------------
 
@@ -141,17 +128,10 @@ class PolygonProblem:
         f2 = f1 - self.p2 * violation
         return f2 - self.p3 * (residual[:, 0] + residual[:, 1])
 
-    def penalized(self, z) -> float:
-        """Penalized area (to maximize) at a raw decision vector of length 2n."""
-        return float(self.penalized_batch(z)[0])
-
     # -- optimizer-facing surface ------------------------------------------
 
-    def objective(self, v) -> float:
-        """Negated penalized area on the reduced vector (to minimize)."""
-        return -float(self.penalized_batch(self.embed(v))[0])
-
     def objective_batch(self, V) -> np.ndarray:
+        """Negated penalized areas of reduced rows ``(m, 2n - 2)`` (to minimize)."""
         return -self.penalized_batch(self.embed(V))
 
     def boxes(self) -> Box:
@@ -187,6 +167,8 @@ class PolygonProblem:
 class CalibrationFunction:
     """Closed-form test function with a known minimum.
 
+    ``batch`` maps rows ``(m, n)`` to values; ``fn`` is its one-row call,
+    derived from it when not given.
     ``lipschitz`` is the Euclidean Lipschitz constant (None when infinite).
     ``minimizer``/``min_value`` are stated over ``domain``.
     ``gaussian_smoothed`` gives ``F_h(x)``, where available in closed form.
@@ -194,19 +176,22 @@ class CalibrationFunction:
 
     name: str
     dimension: int
-    fn: Callable[[np.ndarray], float]
     batch: Callable[[np.ndarray], np.ndarray]
     domain: Box
     minimizer: np.ndarray
     min_value: float
     lipschitz: float | None
     gaussian_smoothed: Callable[[np.ndarray, float], float] | None = None
+    fn: Callable[[np.ndarray], float] | None = None
+
+    def __post_init__(self):
+        if self.fn is None:
+            object.__setattr__(self, "fn", one_row(self.batch))
 
 
 def _l1(n: int) -> CalibrationFunction:
     return CalibrationFunction(
         name="l1-norm", dimension=n,
-        fn=lambda x: float(np.abs(np.asarray(x, dtype=float)).sum()),
         batch=lambda X: _row_sum(np.abs, np.asarray(X, dtype=float)),
         domain=Box(-np.ones(n), np.ones(n)),
         minimizer=np.zeros(n), min_value=0.0,
@@ -217,7 +202,6 @@ def _l1(n: int) -> CalibrationFunction:
 def _max_coordinate(n: int) -> CalibrationFunction:
     return CalibrationFunction(
         name="max-coordinate", dimension=n,
-        fn=lambda x: float(np.max(np.asarray(x, dtype=float))),
         batch=lambda X: np.max(np.asarray(X, dtype=float), axis=-1),
         domain=Box(-np.ones(n), np.ones(n)),
         minimizer=-np.ones(n), min_value=-1.0,
@@ -227,16 +211,12 @@ def _max_coordinate(n: int) -> CalibrationFunction:
 
 def _two_well() -> CalibrationFunction:
     # wide shallow well at -1 (value 0.05), global well at +1 (value 0)
-    def fn(x):
-        x = float(np.asarray(x, dtype=float).reshape(()))
-        return min(0.05 + abs(x + 1.0), abs(x - 1.0))
-
     def batch(X):
         x = np.asarray(X, dtype=float).reshape(-1)
         return np.minimum(0.05 + np.abs(x + 1.0), np.abs(x - 1.0))
 
     return CalibrationFunction(
-        name="two-well-1d", dimension=1, fn=fn, batch=batch,
+        name="two-well-1d", dimension=1, batch=batch,
         domain=Box(np.array([-3.0]), np.array([3.0])),
         minimizer=np.array([1.0]), min_value=0.0, lipschitz=1.0,
     )
@@ -244,16 +224,12 @@ def _two_well() -> CalibrationFunction:
 
 def _lsc_step() -> CalibrationFunction:
     # 0 for x >= 0, 1 for x < 0: strongly lsc, discontinuous at 0.
-    def fn(x):
-        x = float(np.asarray(x, dtype=float).reshape(()))
-        return 0.0 if x >= 0.0 else 1.0
-
     def batch(X):
         x = np.asarray(X, dtype=float).reshape(-1)
         return np.where(x >= 0.0, 0.0, 1.0)
 
     return CalibrationFunction(
-        name="lsc-step-1d", dimension=1, fn=fn, batch=batch,
+        name="lsc-step-1d", dimension=1, batch=batch,
         domain=Box(np.array([-1.0]), np.array([1.0])),
         minimizer=np.array([0.0]), min_value=0.0, lipschitz=None,
         gaussian_smoothed=lambda x, h: normal_cdf(-float(np.asarray(x).reshape(())) / h),
@@ -287,8 +263,9 @@ class ProblemInstance:
     """Uniform optimizer-facing wrapper used by the benchmark harness.
 
     ``objective_batch`` (rows to values) is minimized; ``objective`` is its
-    one-point form, for checks.  ``report`` maps an objective value to the
-    quantity tables show (the polygon negates back to an area).
+    one-row call (:func:`~smoothopt.penalty.one_row`), for checks.
+    ``report`` maps an objective value to the quantity tables show (the
+    polygon negates back to an area).
     """
 
     name: str
@@ -304,14 +281,21 @@ class ProblemInstance:
 
 
 def make_problem(name: str, n: int | None = None, **kwargs) -> ProblemInstance:
-    """Problem registry used by the CLI; see :func:`problem_names`."""
+    """Problem registry used by the CLI; see :func:`problem_names` and
+    :func:`problem_parameters`."""
+    if name not in problem_names():
+        raise ValueError(f"unknown problem {name!r}; known: {problem_names()}")
+    unknown = sorted(set(kwargs) - set(problem_parameters(name)))
+    if unknown:
+        raise ValueError(f"problem {name!r} takes no parameter {unknown[0]!r}; "
+                         f"it takes {problem_parameters(name)}")
     if name == "polygon":
         if n is None:
             raise ValueError("polygon needs a vertex count n")
         poly = PolygonProblem(n=n, **kwargs)
         return ProblemInstance(
             name="polygon", dimension=poly.dimension,
-            objective=poly.objective, objective_batch=poly.objective_batch,
+            objective=one_row(poly.objective_batch), objective_batch=poly.objective_batch,
             domain=poly.projection_set(),
             sample_start=poly.sample_start,
             report=lambda v: -v,
@@ -334,3 +318,9 @@ def make_problem(name: str, n: int | None = None, **kwargs) -> ProblemInstance:
 
 def problem_names() -> list[str]:
     return ["polygon", *sorted(_CALIBRATION)]
+
+
+def problem_parameters(name: str) -> list[str]:
+    """What :func:`make_problem` takes for a problem: for the polygon the fields
+    of :class:`PolygonProblem`, for a calibration function ``n``."""
+    return [f.name for f in fields(PolygonProblem)] if name == "polygon" else ["n"]

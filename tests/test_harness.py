@@ -30,6 +30,11 @@ BASE = {
 }
 
 
+def read_rows(csv_path):
+    with csv_path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_config(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -244,6 +249,55 @@ class TestConfigValidation:
                 load_config(path)
             assert str(err.value).startswith(f"{path}:{len(lines)}: start: ")
 
+    PLAN_LINES = ["problem:", "  name: l1-norm", "  n: 2", "seeds:", "  master: 1",
+                  "  count: 2", "budget: 10000", "iterations: 20", "plan:", "  stages: 2",
+                  "  step:", "    kind: constant", "    rho: 0.1", "constraint:", "  type: ball",
+                  "  center: [1.0, 1.0]", "  radius: 1.0"]
+    SCHEDULE_LINES = ["problem: {name: l1-norm, n: 2}", "seeds: [1]", "budget: 10000",
+                      "iterations: 20", "schedule:", "  step:", "    kind: constant",
+                      "    rho: 0.1", "  width:", "    kind: fixed", "    h: 0.1",
+                      "constraint:", "  type: box", "  lower: [0, 0]", "  upper: [1, 1]"]
+
+    @pytest.mark.parametrize("mode, after, text, path", [
+        ("plan", 3, "  p1: 3", "problem.p1"),
+        ("plan", 6, "  cnt: 3", "seeds.cnt"),
+        ("plan", 10, "  stagez: 3", "plan.stagez"),
+        ("plan", 13, "    alpah: 1", "plan.step.alpah"),
+        ("plan", 17, "  centre: [1.0, 1.0]", "constraint.centre"),
+        ("schedule", 8, "    alpha: 1", "schedule.step.alpha"),
+        ("schedule", 11, "  stages: 3", "schedule.stages"),
+        ("schedule", 11, "    hh: 1", "schedule.width.hh"),
+        ("schedule", 15, "  radius: 1.0", "constraint.radius"),
+    ])
+    def test_unknown_key_fails_at_its_line_at_every_level(self, tmp_path, mode, after, text,
+                                                           path):
+        lines = list(self.PLAN_LINES if mode == "plan" else self.SCHEDULE_LINES)
+        assert load_config(write_config(tmp_path, "\n".join(lines), "good.yaml"))
+        lines.insert(after, text)
+        cfg = write_config(tmp_path, "\n".join(lines))
+        with pytest.raises(ConfigError, match="unknown") as err:
+            load_config(cfg)
+        assert str(err.value).startswith(f"{cfg}:{after + 1}: {path}: unknown")
+
+    @pytest.mark.parametrize("problem, path, match", [
+        ({"name": "polygon", "n": 3, "p4": 1}, "problem.p4", "unknown parameter of 'polygon'"),
+        ({"name": "l1-norm", "n": 2, "p1": 3}, "problem.p1", "unknown parameter of 'l1-norm'"),
+        ({"name": "l1-norm", "n": 2.5}, "problem.n", "expected an integer"),
+        ({"name": "two-well-1d", "n": 5}, "problem.n", "1-dimensional, got n = 5"),
+        ({"name": "polygon", "n": None}, "problem.n", "expected a number"),
+        ({"name": "polygon", "n": 3, "p1": 0}, "problem.p1", "positive"),
+        ({"name": "polygon", "n": 3, "p3": float("inf")}, "problem.p3", "positive and finite"),
+        ({"name": "polygon", "n": 3, "p2": "1"}, "problem.p2", "expected a number"),
+    ])
+    def test_problem_section_checked_at_parse_time(self, problem, path, match):
+        with pytest.raises(ConfigError, match=match) as err:
+            parse_config(dict(BASE, problem=problem))
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_polygon_penalty_coefficients_parse(self):
+        cfg = parse_config(dict(BASE, problem={"name": "polygon", "n": 3, "p1": 2, "p3": 5.0}))
+        assert cfg.problem_params == {"n": 3, "p1": 2.0, "p3": 5.0}
+
     def test_constraint_rejected_for_polygon(self):
         bad = dict(BASE, problem={"name": "polygon", "n": 3},
                    constraint={"type": "ball", "center": [0, 0], "radius": 1.0})
@@ -255,7 +309,7 @@ class TestExecuteConfig:
     def test_csv_table_shape_and_content(self, tmp_path):
         cfg = parse_config(dict(BASE, output=str(tmp_path / "out")))
         csv_path, outcomes = execute_config(cfg)
-        rows = list(csv.DictReader(csv_path.open()))
+        rows = read_rows(csv_path)
         assert [len(r) for r in rows] == [len(CSV_COLUMNS)] * 3
         assert list(rows[0]) == CSV_COLUMNS
         assert [int(r["seed"]) for r in rows] == [1, 2, 3]
@@ -274,7 +328,7 @@ class TestExecuteConfig:
             "plan": {"stages": 4, "step": {"kind": "constant-scaled", "alpha": 0.5}},
         })
         csv_path, _ = execute_config(cfg)
-        rows = list(csv.DictReader(csv_path.open()))
+        rows = read_rows(csv_path)
         assert len(rows) == 3
         for row in rows:
             assert round(float(row["Ideal value"]), 4) == 0.4330
@@ -326,7 +380,7 @@ class TestExecuteConfig:
                          "width": {"kind": "fixed", "h": 0.2}},
         })
         csv_path, outcomes = execute_config(cfg)
-        rows = list(csv.DictReader(csv_path.open()))
+        rows = read_rows(csv_path)
         assert rows[0]["stages"] == "1"
         assert int(rows[0]["Func. calc."]) == 400
 
@@ -462,6 +516,18 @@ class TestCli:
                                      "budget: 100\niterations: 10\nplan: {stages: 2}")
         assert main(["run", str(bad)]) == 2
         assert "seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", ["{name: polygon, n: 3, p4: 1}",
+                                         "{name: l1-norm, n: 2.5}"])
+    def test_bad_problem_section_exits_2(self, tmp_path, capsys, problem):
+        cfg = write_config(tmp_path, "\n".join([
+            f"problem: {problem}", "seeds: [1]", "budget: 1000", "iterations: 10",
+            f"output: {tmp_path / 'out'}", "plan: {stages: 2, step: {kind: constant, rho: 0.1}}",
+        ]))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:1: problem.") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["validate", "no-such-suite"]) == 2

@@ -11,12 +11,27 @@ from smoothopt.penalty import (
     ContractViolationError,
     CustomSet,
     PenaltySpec,
-    ball_constraint,
-    box_constraints,
     penalize,
     penalized_function,
     ray_retraction,
 )
+
+
+def box_constraints(lower, upper) -> list:
+    """Explicit inequality functions ``g(x) <= 0`` describing a box."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    gs = []
+    for i in range(lower.size):
+        gs.append(lambda x, i=i: float(x[i] - upper[i]))
+        gs.append(lambda x, i=i: float(lower[i] - x[i]))
+    return gs
+
+
+def ball_constraint(center, radius):
+    """Explicit inequality function ``g(x) <= 0`` describing a Euclidean ball."""
+    center = np.asarray(center, dtype=float)
+    return lambda x: float(np.linalg.norm(np.asarray(x, dtype=float) - center) - radius)
 
 
 UNIT_BOX = Box(np.zeros(2), np.ones(2))

@@ -9,11 +9,25 @@ from smoothopt.penalty import (
     Box,
     CustomSet,
     PenaltySpec,
-    box_constraints,
     penalize,
     penalized_batch,
+    penalized_function,
     ray_retraction,
 )
+from test_penalty import box_constraints
+
+
+def reference_penalize(f, feasible, spec, x):
+    """The one-point penalty as it was written before it became the one-row batch call."""
+    x = np.asarray(x, dtype=float)
+    if spec.kind == "constraint-sum":
+        penalty._require_constraints(feasible)
+        return float(f(feasible.project(x))) + spec.M * penalty._violation(feasible, x)
+    if spec.kind == "distance":
+        p = feasible.project(x)
+        return float(f(p)) + spec.M * float(np.linalg.norm(x - p))
+    p = ray_retraction(feasible, spec.anchor, x, spec.retraction_tol)
+    return float(f(p)) + spec.M * float(np.linalg.norm(x - p))
 
 
 def reference_ray_retraction(feasible, anchor, x, tol=None):
@@ -178,10 +192,15 @@ def test_penalized_batch_equals_penalize_and_sees_feasible_rows_only(kind, seed,
     for spec in _specs(kind, anchor):
         seen.clear()
         values = penalized_batch(f_batch, feasible, spec)(X)
-        assert values.tobytes() == np.array([penalize(f, feasible, spec, x) for x in X]).tobytes()
+        want = np.array([reference_penalize(f, feasible, spec, x) for x in X])
+        assert values.tobytes() == want.tobytes()
         assert len(seen) == 1
         assert feasible.contains_rows(seen[0]).all()
         assert values[on_set].tolist() == [f(x) for x in X[on_set]]  # exact on the set
+        # the one-point forms are the one-row call, with the reference's bits
+        one_point = penalized_function(f, feasible, spec)
+        assert np.array([penalize(f, feasible, spec, x) for x in X]).tobytes() == want.tobytes()
+        assert np.array([one_point(x) for x in X]).tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
