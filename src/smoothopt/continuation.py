@@ -150,14 +150,14 @@ def ravine_start(x_prev, x_curr, beta: float, X: FeasibleSet) -> np.ndarray:
 
 
 def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
-                         kernel: str, x0, rng, *,
-                         record_trajectory: bool = False) -> ContinuationResult:
+                         kernel: str, x0, rng) -> ContinuationResult:
     """Run the outer smoothing loop over ``plan.widths``.
 
     Stage 0 starts from ``x0``; stage 1 from stage 0's returned point (no
     extrapolation is possible with a single minimizer); stage ``s >= 2`` from
     the ravine extrapolation of the two previous returned points.  The result
-    reports the best value of the batch objective ``F`` over all probes.
+    reports the best value of the batch objective ``F`` over all probes, and
+    each stage its :class:`RunRecord` (averages and best probe, no iterates).
     ``kernel`` names the direction law, as for :func:`sgd_run`.
 
     ``x0`` of shape ``(S, n)`` runs S restarts in lockstep, with ``rng`` a
@@ -184,8 +184,7 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
             start = ravine_start(returned[s - 2], returned[s - 1], plan.ravine_beta, X)
         try:
             record = sgd_run(F, X, start, plan.schedule(s), kernel,
-                             plan.batch_size, plan.iterations, gens,
-                             record_trajectory=record_trajectory)
+                             plan.batch_size, plan.iterations, gens)
         except EvaluationError as err:
             raise err.with_context(stage=s) from None
         evaluations += record.evaluations

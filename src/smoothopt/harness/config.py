@@ -51,7 +51,7 @@ __all__ = ["ConfigError", "RunConfig", "constraint_set", "load_config", "parse_c
 
 _KERNELS = ("sphere", "gaussian")
 _TOP_KEYS = ("problem", "kernel", "seeds", "budget", "output", "iterations", "batch_size",
-             "plan", "schedule", "constraint", "start", "record_trajectory")
+             "plan", "schedule", "constraint", "start")
 _CONSTRAINT_KEYS = {"ball": ("type", "center", "radius", "penalty"),
                     "box": ("type", "lower", "upper", "penalty")}
 _PENALTY_KEYS = ("kind", "M", "anchor")
@@ -118,7 +118,6 @@ class RunConfig:
     plan: dict
     constraint: dict | None = None
     start: Any = "auto"
-    record_trajectory: bool = False
     raw: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -246,7 +245,6 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         if domain.distance(x) > ITERATE_TOL:
             c.fail("start", f"starting point must lie in the projection set, "
                             f"from {domain.lower} to {domain.upper}")
-    record_trajectory = c.boolean("record_trajectory", default=False)
 
     return RunConfig(
         problem_name=name,
@@ -260,7 +258,6 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         plan=plan,
         constraint=constraint,
         start=start,
-        record_trajectory=record_trajectory,
         raw=data,
     )
 
@@ -365,10 +362,13 @@ def _check_plan(c: _Checker) -> dict:
     if kind not in step_kinds(mode):
         c.fail(f"{mode}.step.kind", f"step kind must be one of {step_kinds(mode)}, got {kind!r}")
     c.keys(mode, _PLAN_KEYS if mode == "plan" else ("step", "width"), f"{mode} key")
-    c.keys(f"{mode}.step", ["kind", *STEP_KINDS[kind].params], f"parameter of step kind {kind!r}")
-    for name, default in STEP_KINDS[kind].params.items():
-        c.number(f"{mode}.step.{name}", default=default, required=default is None,
-                 allow_auto=default == "auto", minimum=0.0)
+    entry = STEP_KINDS[kind]
+    c.keys(f"{mode}.step", ["kind", *entry.params], f"parameter of step kind {kind!r}")
+    for name, default in entry.params.items():
+        value = c.number(f"{mode}.step.{name}", default=default, required=default is None,
+                         allow_auto=default == "auto", minimum=0.0)
+        if value == 0 and (entry.make or name in entry.needs):
+            c.fail(f"{mode}.step.{name}", f"step parameter {name} must be positive, got 0")
     # a schedule is one stage, where decay and beta never act
     out = {"mode": mode, "step": dict(step), "stages": 1, "decay": 0.5, "beta": 1.0}
     if mode == "plan":
@@ -381,7 +381,7 @@ def _check_plan(c: _Checker) -> dict:
             c.fail("plan.decay", f"decay must lie in (0, 1), got {out['decay']!r}")
         out["beta"] = c.number("plan.beta", default=1.0, minimum=0.0)
         out["couple_widths"] = c.boolean("plan.couple_widths", default=False)
-        if out["couple_widths"] and "L" not in STEP_KINDS[kind].needs:
+        if out["couple_widths"] and "L" not in entry.needs:
             c.fail("plan.couple_widths",
                    f"coupled widths h_t = L * rho_t / K need a step rule with L and K; "
                    f"{kind!r} has neither")

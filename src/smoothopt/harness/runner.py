@@ -135,8 +135,7 @@ def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan) ->
     t0 = time.perf_counter()
 
     try:
-        result = successive_smoothing(F, problem.domain, plan, cfg.kernel, x0, gens,
-                                      record_trajectory=cfg.record_trajectory)
+        result = successive_smoothing(F, problem.domain, plan, cfg.kernel, x0, gens)
     except EvaluationError as err:
         raise err.with_context(seed=cfg.seeds[err.run]) from None
 

@@ -32,7 +32,10 @@ for the end of the chunk.  There one reduction over the chunk's iterates
 advances the plain and step-weighted sums with the adds, in the order, of
 sums updated every iteration, and the chunk's best probe -- the first
 minimum in ``(t, k)`` order -- is rebuilt as ``x_t +- h_t * y`` from the
-chunk's directions.  Memory stays bounded by the chunk, not by ``T``.
+chunk's directions.  Memory stays bounded by the chunk, not by ``T``, and
+no iterate outlives its chunk: as a run never draws past its last iteration,
+the averages at ``t`` are those of a run of length ``t`` (for a step rule
+that does not depend on the horizon).
 """
 from __future__ import annotations
 
@@ -285,12 +288,11 @@ class RunRecord:
     ``best_point``/``best_value`` track the minimum over all probe evaluations
     already paid for by the estimator (no extra objective calls).  The best
     value need not dominate the value at either average; averaging and best
-    tracking answer different questions.  ``trajectory`` holds the visited
-    iterates ``x_1..x_T`` when requested, copied chunk by chunk from the
-    iterates the averages are summed from.
+    tracking answer different questions.  A record keeps no iterates; see
+    :func:`sgd_run` for the averages at an earlier ``t``.
 
-    A lockstep record gives every point a leading run axis (``(S, n)``; the
-    trajectory is ``(T, S, n)``), one best value and one seed per run;
+    A lockstep record gives every point a leading run axis (``(S, n)``), one
+    best value and one seed per run;
     :meth:`run` extracts run ``s``.  ``evaluations`` and ``iterations`` count
     per run.  ``wall_time`` is the time of the whole lockstep batch, which all
     its runs share.
@@ -306,7 +308,6 @@ class RunRecord:
     iterations: int
     seed: int | None | tuple
     wall_time: float
-    trajectory: np.ndarray | None = None
 
     def run(self, s: int) -> "RunRecord":
         """Record of run ``s`` of a lockstep batch."""
@@ -321,7 +322,6 @@ class RunRecord:
             iterations=self.iterations,
             seed=self.seed[s],
             wall_time=self.wall_time,
-            trajectory=None if self.trajectory is None else self.trajectory[:, s],
         )
 
 
@@ -343,14 +343,15 @@ def _lockstep_starts(x1, rng) -> tuple[np.ndarray, tuple, bool]:
 
 
 def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
-            K: int, T: int, rng, *, record_trajectory: bool = False) -> RunRecord:
+            K: int, T: int, rng) -> RunRecord:
     """Run ``T`` projected two-point SGD steps from ``x1`` inside ``X``.
 
     The batch objective ``F`` must be defined on the probes ``x_t +- h_t * y``,
     which may leave ``X``.  Returns the plain average ``mean(x_1..x_T)``, the
     step-weighted average ``sum(rho_t x_t)/sum(rho_t)`` and the best probe
     seen.  Exactly ``2*K*T`` objective evaluations are performed, and
-    identical seeds reproduce the record bit for bit.
+    identical seeds reproduce the record bit for bit.  The averages at an
+    earlier ``t`` are those of a run of ``t`` steps from the same start and rng.
 
     ``x1`` of shape ``(S, n)`` starts S runs, with ``rng`` a sequence of S
     seeds or generators, one per run; they advance in lockstep and the result
@@ -395,7 +396,6 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
     hist = np.zeros((min(chunk, T) + 1, 2, S, dim))
     vals = np.empty((min(chunk, T), S, 2 * K))
     best_value, best_point, x_first = np.full(S, np.inf), x.copy(), x.copy()
-    traj = np.empty((T, S, dim)) if record_trajectory else None
 
     for t, rho, h in zip(range(1, T + 1), rhos.tolist(), hs.tolist()):
         j = (t - 1) % chunk
@@ -418,8 +418,6 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
             done, xs = slice(t - j - 1, t), hist[1:j + 2, 0]
             np.multiply(rhos[done, None, None], xs, out=hist[1:j + 2, 1])
             hist[0] = np.add.reduce(hist[:j + 2], axis=0)
-            if traj is not None:
-                traj[done] = xs
             _fold_best_probe(vals[:j + 1], xs, hs[done], block, best_value, best_point)
 
     record = RunRecord(
@@ -434,7 +432,6 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
         iterations=T,
         seed=seeds,
         wall_time=time.perf_counter() - start,
-        trajectory=traj,
     )
     return record.run(0) if single else record
 

@@ -426,7 +426,6 @@ class PenaltySpec:
     kind: str = "distance"
     M: float = 10.0
     anchor: np.ndarray | None = None
-    retraction_tol: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -437,8 +436,6 @@ class PenaltySpec:
             if self.anchor is None:
                 raise ValueError("ray-retraction requires an interior anchor point")
             object.__setattr__(self, "anchor", _as_point(self.anchor))
-        if self.retraction_tol is not None and not self.retraction_tol > 0:
-            raise ValueError("retraction tolerance must be positive")
 
 
 def _require_constraints(feasible: FeasibleSet):
@@ -494,7 +491,7 @@ def penalized_batch(f_batch: Callable, feasible: FeasibleSet, spec: PenaltySpec)
     def residual(X):
         X = _as_rows(X)
         P = feasible.project(X) if spec.kind == "distance" \
-            else _retract(feasible, spec.anchor, X, spec.retraction_tol)
+            else _retract(feasible, spec.anchor, X, None)
         return np.asarray(f_batch(P), dtype=float) + spec.M * _row_norms(X - P)
 
     return residual

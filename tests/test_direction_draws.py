@@ -16,10 +16,11 @@ def same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, record_trajectory=False):
+def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, iterates=None):
     """``sgd_run`` with one direction draw per run and iteration, as before chunking.
 
-    Takes a batch objective and the same arguments as ``sgd_run``.
+    Takes a batch objective and the same arguments as ``sgd_run``.  A list
+    ``iterates`` receives every iterate ``x_1..x_T`` as an ``(S, n)`` array.
     """
     x = np.array(x1, dtype=float)
     single = x.ndim == 1
@@ -29,11 +30,10 @@ def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, record_trajectory=Fal
     S, dim = x.shape
     sum_x, sum_rho_x, sum_rho = np.zeros((S, dim)), np.zeros((S, dim)), 0.0
     best_value, best_point, x_first = np.full(S, np.inf), x.copy(), x.copy()
-    traj = np.empty((T, S, dim)) if record_trajectory else None
     for t in range(1, T + 1):
         rho, h = schedule.values(t)
-        if record_trajectory:
-            traj[t - 1] = x
+        if iterates is not None:
+            iterates.append(x)
         sum_x += x
         sum_rho_x += rho * x
         sum_rho += rho
@@ -53,7 +53,7 @@ def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, record_trajectory=Fal
     record = RunRecord(x_first=x_first, x_last=x, plain_average=sum_x / T,
                        weighted_average=sum_rho_x / sum_rho, best_point=best_point,
                        best_value=best_value, evaluations=2 * K * T, iterations=T,
-                       seed=seeds, wall_time=0.0, trajectory=traj)
+                       seed=seeds, wall_time=0.0)
     return record.run(0) if single else record
 
 
@@ -82,7 +82,7 @@ def plateau_problem(n: int):
 
 def assert_same_record(a, b):
     for name in ("x_first", "x_last", "plain_average", "weighted_average", "best_point",
-                 "best_value", "trajectory"):
+                 "best_value"):
         assert same(getattr(a, name), getattr(b, name)), name
     assert (a.evaluations, a.iterations, a.seed) == (b.evaluations, b.iterations, b.seed)
 
@@ -101,13 +101,13 @@ DRAWS = dict(S=st.integers(1, 4), K=st.integers(1, 12), n=st.integers(1, 40),
 @given(**DRAWS, kind=st.sampled_from(["constant", "sphere-fixed", "sphere-decaying",
                                      "gaussian-fixed", "gaussian-decaying",
                                      "gaussian-vanishing"]),
-       coupled=st.booleans(), plateau=st.booleans(), trajectory=st.booleans())
+       coupled=st.booleans(), plateau=st.booleans())
 # one run in one dimension over a long chunk: summing a single column over t
 # must stay the loop's left-to-right adds, not numpy's pairwise sum
 @example(S=1, K=1, n=1, T=200, draw_rows=4096, kernel="gaussian", seed=3, kind="constant",
-         coupled=False, plateau=False, trajectory=False)
+         coupled=False, plateau=False)
 def test_chunked_sgd_run_equals_per_iteration_loop(S, K, n, T, draw_rows, kernel, seed,
-                                                   kind, coupled, plateau, trajectory):
+                                                   kind, coupled, plateau):
     # sgd_run also evaluates rho_t and h_t for the whole run at once, sums the
     # iterates and picks the best probe once per chunk; the loop does each
     # every iteration
@@ -121,8 +121,8 @@ def test_chunked_sgd_run_equals_per_iteration_loop(S, K, n, T, draw_rows, kernel
     loop = [np.random.default_rng(seed + s) for s in range(S)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "_DRAW_ROWS", draw_rows)
-        got = sgd_run(F, X, starts, sched, kernel, K, T, ours, record_trajectory=trajectory)
-    want = loop_sgd_run(F, X, starts, sched, kernel, K, T, loop, record_trajectory=trajectory)
+        got = sgd_run(F, X, starts, sched, kernel, K, T, ours)
+    want = loop_sgd_run(F, X, starts, sched, kernel, K, T, loop)
     assert_same_record(got, want)
     assert states(ours) == states(loop)
     # the generator goes on exactly where the loop's does

@@ -3,7 +3,7 @@
 A matrix of tiny configs runs through ``execute_config``: plan and schedule
 mode, every step kind valid in each, both kernels, fixed and coupled widths,
 box and ball constraints under both config penalties, an explicit start,
-``record_trajectory``, calibration problems and a polygon.  Each case pins
+calibration problems and a polygon.  Each case pins
 the digest of its ``results.csv`` and of each JSON run record with its
 ``wall_time`` fields removed.  The ``smoothopt bench polygon`` CSVs for
 n = 3 and 4 are pinned too, and n = 20 under ``slow``.
@@ -34,9 +34,9 @@ CASES = {
         "iterations": 15, "batch_size": 2,
         "plan": {"h0": "auto", "stages": 3, "decay": 0.5, "beta": 0.5,
                  "step": {"kind": "constant-scaled", "alpha": 0.5}}},
-    "plan-constant-gaussian-start-trajectory": {
+    "plan-constant-gaussian-start": {
         "problem": {"name": "two-well-1d"}, "kernel": "gaussian",
-        "iterations": 20, "batch_size": 1, "start": [0.5], "record_trajectory": True,
+        "iterations": 20, "batch_size": 1, "start": [0.5],
         "plan": {"h0": 2.0, "stages": 3, "beta": 1.0, "step": {"kind": "constant", "rho": 0.05}}},
     "plan-sphere-decaying-coupled": {
         "problem": {"name": "l1-norm", "n": 2}, "kernel": "sphere",
@@ -80,9 +80,9 @@ CASES = {
                                          "anchor": [0.6, 0.6]}),
         "schedule": {"step": {"kind": "sphere-decaying", "D": 1.5, "L": 2.0},
                      "width": {"kind": "coupled", "h": 0.3}}},
-    "schedule-gaussian-fixed-polygon-trajectory": {
+    "schedule-gaussian-fixed-polygon": {
         "problem": {"name": "polygon", "n": 3}, "kernel": "gaussian",
-        "iterations": 25, "batch_size": 2, "record_trajectory": True,
+        "iterations": 25, "batch_size": 2,
         "schedule": {"step": {"kind": "gaussian-fixed"},
                      "width": {"kind": "fixed", "h": 0.05}}},
     "schedule-gaussian-decaying-coupled": {

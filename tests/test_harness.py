@@ -102,6 +102,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{path}: .* must be positive"):
             parse_config(data)
 
+    @pytest.mark.parametrize("mode, kind, name", [
+        ("plan", "constant", "rho"), ("plan", "constant-scaled", "alpha"),
+        ("plan", "sphere-decaying", "L"), ("schedule", "sphere-decaying", "C"),
+        ("schedule", "sphere-fixed", "D")])
+    def test_zero_step_parameter_fails_at_parse_time(self, tmp_path, capsys, mode, kind, name):
+        # each is a parameter its step rule needs > 0: past the parse, the run
+        # would raise in resolve_plan, after set-up and without a line anchor
+        width = {"width": {"kind": "fixed", "h": 0.1}} if mode == "schedule" else {}
+        data = {**{k: v for k, v in BASE.items() if k != "plan"},
+                mode: {"step": {"kind": kind, name: 0}, **width}}
+        with pytest.raises(ConfigError, match="must be positive") as err:
+            parse_config(data)
+        assert str(err.value).startswith(f"{mode}.step.{name}: ")
+        data[mode]["step"][name] = "auto" if name in ("D", "L") else 0.5
+        assert parse_config(data)  # "auto" and positive values still parse
+
+        cfg = write_config(tmp_path, "\n".join([
+            "problem: {name: l1-norm, n: 2}", "seeds: [1]", "budget: 10000", "iterations: 10",
+            f"output: {tmp_path / 'out'}", f"{mode}:", "  step:", f"    kind: {kind}",
+            f"    {name}: 0", *(["  width: {kind: fixed, h: 0.1}"] if width else []),
+        ]))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:9: {mode}.step.{name}: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_import_leaves_yaml_unloaded(self):
         # only reading a file needs PyYAML; set-up and parse_config do not pay for it
         code = "import sys, smoothopt.harness.runner; print('yaml' in sys.modules)"
@@ -131,13 +157,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_config(dict(BASE, problem={"name": "polygon"}))
 
-    @pytest.mark.parametrize("key", ["plan.couple_widths", "record_trajectory"])
-    def test_flags_must_be_booleans(self, key):
+    def test_flags_must_be_booleans(self):
         bad = json.loads(json.dumps(BASE))
-        if key == "record_trajectory":
-            bad[key] = "false"
-        else:
-            bad["plan"]["couple_widths"] = "false"
+        bad["plan"]["couple_widths"] = "false"
         with pytest.raises(ConfigError, match="expected true or false"):
             parse_config(bad)
 
@@ -260,6 +282,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("mode, after, text, path", [
         ("plan", 3, "  p1: 3", "problem.p1"),
+        ("plan", 8, "record_trajectory: true", "record_trajectory"),
         ("plan", 6, "  cnt: 3", "seeds.cnt"),
         ("plan", 10, "  stagez: 3", "plan.stagez"),
         ("plan", 13, "    alpah: 1", "plan.step.alpah"),

@@ -1,13 +1,17 @@
 """Lockstep runs: S runs in one batch reproduce S runs alone, bit for bit."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothopt.continuation import SmoothingPlan, successive_smoothing
+from smoothopt.harness import validate
 from smoothopt.optimizer import Schedule, StepRule, WidthRule, sgd_run
 from smoothopt.penalty import Ball, Box
-from smoothopt.problems import PolygonProblem
-from smoothopt.smoothing import EvaluationError
+from smoothopt.problems import PolygonProblem, calibration
+from smoothopt.smoothing import EvaluationError, Kernel, smoothed_value
+from test_direction_draws import loop_sgd_run
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -31,7 +35,7 @@ def problem(n: int, shape: str):
 
 def assert_same_record(a, b):
     for name in ("x_first", "x_last", "plain_average", "weighted_average", "best_point",
-                 "best_value", "trajectory"):
+                 "best_value"):
         assert same(getattr(a, name), getattr(b, name)), name
     assert (a.evaluations, a.iterations, a.seed) == (b.evaluations, b.iterations, b.seed)
 
@@ -48,10 +52,10 @@ def test_lockstep_sgd_run_equals_single_runs(S, n, K, kernel, shape, seed):
     starts = X.sample(S, np.random.default_rng(seed))
     seeds = [seed + s for s in range(S)]
     sched = Schedule(StepRule.constant(0.4), WidthRule.fixed(0.3))
-    batch = sgd_run(F, X, starts, sched, kernel, K, 12, seeds, record_trajectory=True)
+    batch = sgd_run(F, X, starts, sched, kernel, K, 12, seeds)
     assert batch.best_value.shape == (S,)
     for s in range(S):
-        alone = sgd_run(F, X, starts[s], sched, kernel, K, 12, seeds[s], record_trajectory=True)
+        alone = sgd_run(F, X, starts[s], sched, kernel, K, 12, seeds[s])
         assert_same_record(batch.run(s), alone)
 
 
@@ -162,3 +166,56 @@ def test_lockstep_smoothing_needs_one_rng_per_start(rng):
     with pytest.raises(ValueError, match="one rng per start"):
         successive_smoothing(F, X, plan, "sphere", np.zeros((3, 2)), rng)
     assert calls == []
+
+
+def trajectory_rate_gaps(*, n, K, h, D, C, checkpoints, seeds, eval_samples, master_seed):
+    """The rate suite's gaps as its loop took them from recorded iterates, in call order.
+
+    One run per seed to the last checkpoint, one seed after another; each
+    checkpoint average is summed from that run's iterates, and the ``F_h``
+    draws continue the seed's generator after its run.
+    """
+    f = calibration("l1-norm", n).batch
+    X = Ball(np.zeros(n), 1.0)
+    step = StepRule("sphere-decaying", D=D, L=math.sqrt(n), n=n, K=K, C=C)
+    schedule = Schedule(step, WidthRule.fixed(h))
+    kernel = Kernel.sphere(h)
+    root = np.random.SeedSequence(master_seed)
+    ref = smoothed_value(f, np.zeros(n), kernel, eval_samples,
+                         np.random.default_rng(root.spawn(1)[0]))
+    T = max(checkpoints)
+    rho = step.value(np.arange(1, T + 1))
+    gaps = []
+    for ss in root.spawn(seeds):
+        child = np.random.default_rng(ss)
+        x1 = X.sample(1, child)[0]
+        iterates = []
+        loop_sgd_run(f, X, x1, schedule, "sphere", K, T, child, iterates=iterates)
+        csum = np.cumsum(rho[:, None] * np.array(iterates)[:, 0], axis=0)
+        rsum = np.cumsum(rho)
+        for t in checkpoints:
+            val = smoothed_value(f, csum[t - 1] / rsum[t - 1], kernel, eval_samples, child)
+            gaps.append(val.value - ref.value)
+    return gaps
+
+
+def test_rate_suite_equals_the_trajectory_loop(monkeypatch):
+    # unsorted checkpoints with a duplicate, which draws F_h twice
+    kw = dict(n=4, K=2, h=0.1, D=2.0, C=1.0, checkpoints=(9, 3, 9, 40), seeds=3,
+              eval_samples=500, master_seed=11)
+    values = []
+
+    def recorded(*args):
+        val = smoothed_value(*args)
+        values.append(val.value)
+        return val
+
+    monkeypatch.setattr(validate, "smoothed_value", recorded)
+    checks = validate.rate_suite(**kw)
+    gaps = [v - values[0] for v in values[1:]]
+    want = trajectory_rate_gaps(**kw)
+    assert [g.hex() for g in gaps] == [g.hex() for g in want]
+    per_seed = np.array(want).reshape(kw["seeds"], -1)
+    for t, check in zip(kw["checkpoints"], checks, strict=True):
+        columns = [j for j, u in enumerate(kw["checkpoints"]) if u == t]
+        assert check.measured.hex() == float(np.median(per_seed[:, columns])).hex()

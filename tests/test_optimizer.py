@@ -222,13 +222,25 @@ class TestSgdRun:
         np.testing.assert_allclose(rec.x_last, [0.0])  # clamp(0.5 - 2*3)
 
     def test_iterates_stay_in_projection_set(self):
-        X = Ball(np.zeros(4), 1.0)
+        returned = []
+
+        class RecordingBall(Ball):
+            """The unit ball, keeping every point its projection returns."""
+
+            def project(self, x):
+                p = super().project(x)
+                returned.append(p)
+                return p
+
+        X = RecordingBall(np.zeros(4), 1.0)
         sched = Schedule(StepRule("sphere-decaying", D=2, L=2, n=4, K=2), WidthRule.fixed(0.2))
         rng = np.random.default_rng(2)
-        rec = sgd_run(l1_batch, X, X.sample(1, rng)[0], sched, "sphere", 2, 300, rng,
-                      record_trajectory=True)
-        norms = np.linalg.norm(rec.trajectory, axis=1)
-        assert np.all(norms <= 1.0 + 1e-9)
+        rec = sgd_run(l1_batch, X, X.sample(1, rng)[0], sched, "sphere", 2, 300, rng)
+        # one projection per iteration returns x_2..x_301, the last of them x_last
+        assert len(returned) == 300
+        np.testing.assert_array_equal(returned[-1][0], rec.x_last)
+        iterates = np.concatenate([rec.x_first[None], *returned])
+        assert np.all(np.linalg.norm(iterates, axis=1) <= 1.0 + 1e-9)
 
     def test_start_outside_x_rejected(self):
         X = Box(np.zeros(2), np.ones(2))
@@ -298,16 +310,6 @@ class TestSgdRun:
         x1 = X.sample(1, rng)[0]
         rec = sgd_run(l1_batch, X, x1, sched, "sphere", K, T, rng)
         assert l1_batch(rec.weighted_average) <= 0.5  # true minimum is 0
-
-    def test_trajectory_recording(self):
-        X = Box(-np.ones(2), np.ones(2))
-        sched = Schedule(StepRule.constant(0.05), WidthRule.fixed(0.1))
-        rec = sgd_run(l1_batch, X, np.array([0.5, 0.5]), sched, "sphere", 1, 25, rng=7)
-        assert rec.trajectory is None
-        rec2 = sgd_run(l1_batch, X, np.array([0.5, 0.5]), sched, "sphere", 1, 25,
-                       rng=7, record_trajectory=True)
-        assert rec2.trajectory.shape == (25, 2)
-        np.testing.assert_array_equal(rec2.trajectory[0], rec2.x_first)
 
     def test_evaluation_error_carries_iteration(self):
         X = Box(-np.ones(1), np.ones(1))

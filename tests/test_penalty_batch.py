@@ -26,7 +26,7 @@ def reference_penalize(f, feasible, spec, x):
     if spec.kind == "distance":
         p = feasible.project(x)
         return float(f(p)) + spec.M * float(np.linalg.norm(x - p))
-    p = ray_retraction(feasible, spec.anchor, x, spec.retraction_tol)
+    p = ray_retraction(feasible, spec.anchor, x)
     return float(f(p)) + spec.M * float(np.linalg.norm(x - p))
 
 
