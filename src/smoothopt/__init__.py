@@ -57,7 +57,6 @@ from .optimizer import (
 from .continuation import (
     ContinuationResult,
     SmoothingPlan,
-    StageResult,
     default_plan,
     geometric_widths,
     ravine_start,

@@ -8,9 +8,11 @@ extrapolates through the last two stage minimizers (the valley direction):
 ``start = project_X(x_curr + beta * (x_curr - x_prev))``.
 
 Each stage's multi-step SGD run *is* the local descent of the classical
-ravine method.  Stages are sequential by definition; independent restarts
-run in lockstep, one stacked objective call per SGD iteration for all of
-them (see :func:`smoothopt.optimizer.sgd_run`).
+ravine method, and its :class:`~smoothopt.optimizer.RunRecord` is the
+stage's whole record: the start, the weighted average the next stage
+extrapolates through, and the best probe.  Stages are sequential by
+definition; independent restarts run in lockstep, one stacked objective call
+per SGD iteration for all of them (see :func:`smoothopt.optimizer.sgd_run`).
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .optimizer import (RunRecord, Schedule, StepRule, WidthRule, _lockstep_star
 
 __all__ = [
     "SmoothingPlan",
-    "StageResult",
     "ContinuationResult",
     "ravine_start",
     "successive_smoothing",
@@ -97,39 +98,17 @@ class SmoothingPlan:
 
 
 @dataclass
-class StageResult:
-    """One stage of the outer loop.
-
-    ``returned_point`` (the stage's step-weighted average) is what the next
-    stage's ravine start extrapolates through.  ``best_so_far`` is the running
-    minimum over probe evaluations of this and all earlier stages.  In a
-    lockstep result, points and values carry a leading run axis.
-    """
-
-    index: int
-    h: float | None
-    start: np.ndarray
-    record: RunRecord
-    returned_point: np.ndarray
-    best_value: float | np.ndarray
-    best_so_far: float | np.ndarray
-
-    def run(self, s: int) -> "StageResult":
-        """This stage of run ``s`` of a lockstep batch."""
-        return StageResult(index=self.index, h=self.h, start=self.start[s],
-                           record=self.record.run(s),
-                           returned_point=self.returned_point[s],
-                           best_value=float(self.best_value[s]),
-                           best_so_far=float(self.best_so_far[s]))
-
-
-@dataclass
 class ContinuationResult:
-    """Outcome of the outer loop; a lockstep result has a leading run axis."""
+    """Outcome of the outer loop; a lockstep result has a leading run axis.
+
+    ``stages[s]`` is the :class:`RunRecord` of stage ``s``: its ``x_first`` is
+    the stage's start, and its ``weighted_average`` the point the next stage's
+    start extrapolates through.  The stage's width is ``plan.widths[s]``.
+    """
 
     best_point: np.ndarray
     best_value: float | np.ndarray
-    stages: list[StageResult]
+    stages: list[RunRecord]
     evaluations: int
 
     def run(self, s: int) -> "ContinuationResult":
@@ -153,12 +132,12 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
                          kernel: str, x0, rng) -> ContinuationResult:
     """Run the outer smoothing loop over ``plan.widths``.
 
-    Stage 0 starts from ``x0``; stage 1 from stage 0's returned point (no
+    Stage 0 starts from ``x0``; stage 1 from stage 0's weighted average (no
     extrapolation is possible with a single minimizer); stage ``s >= 2`` from
-    the ravine extrapolation of the two previous returned points.  The result
+    the ravine extrapolation of the two previous weighted averages.  The result
     reports the best value of the batch objective ``F`` over all probes, and
-    each stage its :class:`RunRecord` (averages and best probe, no iterates).
-    ``kernel`` names the direction law, as for :func:`sgd_run`.
+    each stage as the :class:`RunRecord` of its SGD run (start, averages and
+    best probe, no iterates).  ``kernel`` names the direction law, as for :func:`sgd_run`.
 
     ``x0`` of shape ``(S, n)`` runs S restarts in lockstep, with ``rng`` a
     sequence of S seeds or generators, one per restart; the result then has a
@@ -169,41 +148,30 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
     x0, rng, single = _lockstep_starts(x0, rng)
     gens = [r if isinstance(r, np.random.Generator) else np.random.default_rng(r) for r in rng]
 
-    stages: list[StageResult] = []
-    returned: list[np.ndarray] = []
+    stages: list[RunRecord] = []
     best_value = np.full(len(x0), np.inf)
     best_point = x0.copy()
-    evaluations = 0
 
     for s in range(plan.stages):
         if s == 0:
-            start = x0.copy()
+            start = x0
         elif s == 1:
-            start = returned[0].copy()
+            start = stages[0].weighted_average
         else:
-            start = ravine_start(returned[s - 2], returned[s - 1], plan.ravine_beta, X)
+            start = ravine_start(stages[s - 2].weighted_average, stages[s - 1].weighted_average,
+                                 plan.ravine_beta, X)
         try:
             record = sgd_run(F, X, start, plan.schedule(s), kernel,
                              plan.batch_size, plan.iterations, gens)
         except EvaluationError as err:
             raise err.with_context(stage=s) from None
-        evaluations += record.evaluations
         better = record.best_value < best_value
         best_value = np.where(better, record.best_value, best_value)
         best_point[better] = record.best_point[better]
-        returned.append(record.weighted_average)
-        stages.append(StageResult(
-            index=s,
-            h=plan.widths[s],
-            start=start,
-            record=record,
-            returned_point=record.weighted_average,
-            best_value=record.best_value,
-            best_so_far=best_value,
-        ))
+        stages.append(record)
 
-    result = ContinuationResult(best_point=best_point, best_value=best_value,
-                                stages=stages, evaluations=evaluations)
+    result = ContinuationResult(best_point=best_point, best_value=best_value, stages=stages,
+                                evaluations=sum(record.evaluations for record in stages))
     return result.run(0) if single else result
 
 

@@ -242,7 +242,7 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         n = c.number("problem.n", default=1, integer=True, minimum=1)
         domain = projection_set(name, n, constraint)
         x = c.vector("start", domain.dimension, "'auto' or a starting point")
-        if domain.distance(x) > ITERATE_TOL:
+        if np.linalg.norm(x - domain.project(x), axis=-1) > ITERATE_TOL:
             c.fail("start", f"starting point must lie in the projection set, "
                             f"from {domain.lower} to {domain.upper}")
 
@@ -307,6 +307,9 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
         lower, upper = c.vector("constraint.lower", dim), c.vector("constraint.upper", dim)
         if np.any(lower > upper):
             c.fail("constraint.upper", "upper bound below the lower bound in some coordinate")
+        if not np.any(upper > lower):  # a single point: the runs' domain has no width
+            c.fail("constraint.upper", "the box is a single point; some upper bound must "
+                                       "exceed its lower bound")
     feasible = constraint_set(constraint)
 
     pen = c.get("constraint.penalty", default={"kind": "distance", "M": 10.0})

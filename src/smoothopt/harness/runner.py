@@ -19,6 +19,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 import numpy as np
 
@@ -141,7 +142,7 @@ def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan) ->
 
     runs = [result.run(s) for s in range(len(cfg.seeds))]
     # one extra diagnostic evaluation per seed, on top of the 2*K*T*stages accounting
-    avg_values = F(np.array([run.stages[-1].returned_point for run in runs])).tolist()
+    avg_values = F(np.array([run.stages[-1].weighted_average for run in runs])).tolist()
     wall = time.perf_counter() - t0
 
     label_n = dict(problem.parameters).get("n", problem.dimension)
@@ -161,14 +162,15 @@ def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan) ->
             "value_at_weighted_average": problem.report(avg_value),
             "Ideal value": problem.ideal_value,
         }
+        best_so_far = accumulate((st.best_value for st in run.stages), min)
         stages = [{
-            "index": st.index, "h": st.h,
-            "start": st.start.tolist(),
-            "returned_point": st.returned_point.tolist(),
+            "index": i, "h": h,
+            "start": st.x_first.tolist(),
+            "returned_point": st.weighted_average.tolist(),
             "best_value": st.best_value,
-            "best_so_far": st.best_so_far,
-            "wall_time": st.record.wall_time,
-        } for st in run.stages]
+            "best_so_far": best,
+            "wall_time": st.wall_time,
+        } for i, (h, st, best) in enumerate(zip(plan.widths, run.stages, best_so_far))]
         record_doc = {
             "format": "smoothopt-run/1",
             "config": cfg.raw,

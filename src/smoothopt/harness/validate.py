@@ -232,12 +232,14 @@ def rate_suite(*, n: int = 10, K: int = 8, h: float = 0.1, D: float = 2.0,
     all seeds, each restarted from its child generator.  It is the longest
     run's average at ``t``, bit for bit: the decaying step ignores the
     horizon, a run never draws past its last step, and the sums add in order.
-    A seed makes ``2K`` x (sum of distinct checkpoints) evaluations, 177,600
-    at the defaults, not 160,000.  ``F_h`` draws go on from the longest run.
+    A seed makes ``2K`` x (sum of checkpoints) evaluations, 177,600 at the
+    defaults, not 160,000.  ``F_h`` draws go on from the longest run.
     """
     checkpoints = tuple(int(t) for t in checkpoints)
     if min(checkpoints) < 2:  # an empty tuple raises here too
         raise ValueError("decaying-step bounds are undefined at t < 2")
+    if len(set(checkpoints)) < len(checkpoints):  # a repeat would pool its gaps twice
+        raise ValueError(f"checkpoints must be distinct, got {checkpoints}")
     L = math.sqrt(n)
     f = calibration("l1-norm", n).batch
     X = Ball(np.zeros(n), 1.0)
@@ -251,7 +253,7 @@ def rate_suite(*, n: int = 10, K: int = 8, h: float = 0.1, D: float = 2.0,
 
     children = root.spawn(seeds)
     xbar = {}
-    for t in sorted(set(checkpoints)):  # the longest run last: its generators go on
+    for t in sorted(checkpoints):  # the longest run last: its generators go on
         gens = [np.random.default_rng(ss) for ss in children]
         x1 = np.array([X.sample(1, g)[0] for g in gens])
         xbar[t] = sgd_run(f, X, x1, schedule, "sphere", K, t, gens).weighted_average

@@ -95,7 +95,8 @@ def _tail(t):
     return (2.0 + np.log(t)) / (np.sqrt(t) - 1.0)
 
 
-_ANALYTIC = {"D": "auto", "L": "auto", "C": 1.0}
+_AUTO = {"D": "auto", "L": "auto"}  # the Gaussian rules have no C
+_ANALYTIC = {**_AUTO, "C": 1.0}
 _HAND_SET = "a step size set by hand carries no rate guarantee"
 
 # The one table of step kinds, read by StepRule, rate_bound, the config, the
@@ -121,16 +122,16 @@ STEP_KINDS: dict[str, StepKind] = {
                                   * _tail(t)),
         ()),
     "gaussian-fixed": StepKind(
-        _gaussian, ("D", "L", "n", "K", "T"), _ANALYTIC,
+        _gaussian, ("D", "L", "n", "K", "T"), _AUTO,
         lambda D, L, n, K, C, t: (L * D / np.sqrt(t)) * np.sqrt(2.0 * (1.0 + (n - 1.0) / K)),
         ("schedule",)),
     "gaussian-decaying": StepKind(
-        _gaussian, ("D", "L", "n", "K"), _ANALYTIC,
+        _gaussian, ("D", "L", "n", "K"), _AUTO,
         lambda D, L, n, K, C, t: L * D * np.sqrt(2.0) * np.sqrt(1.0 + (n - 1.0) / K) * _tail(t),
         ("plan", "schedule")),
     "gaussian-vanishing": StepKind(
         lambda r, tau: r.D / (r.L * np.sqrt(tau * (1.0 + (r.n + 3.0) / r.K))),
-        ("D", "L", "n", "K"), _ANALYTIC,
+        ("D", "L", "n", "K"), _AUTO,
         lambda D, L, n, K, C, t: (D * L / 2.0) * np.sqrt(1.0 + (n + 3.0) / K) * _tail(t),
         ("schedule",)),
 }
@@ -373,7 +374,8 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
     if K < 1:
         raise ValueError("batch size K must be at least 1")
     x, rng, single = _lockstep_starts(x1, rng)
-    if not np.all(np.isfinite(x)) or np.any(X.distance(x) > ITERATE_TOL):
+    if not np.all(np.isfinite(x)) or \
+            np.any(np.linalg.norm(x - X.project(x), axis=-1) > ITERATE_TOL):
         raise ValueError("starting point x1 must lie in the projection set X")
     rhos, hs = schedule.values(np.arange(1, T + 1))
     if not np.all(hs > 0):  # a coupled width is L * rho / K, with L possibly estimated as 0
@@ -407,11 +409,9 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
         Y = block[:, j]
         hist[j + 1, 0] = x
         try:
-            _, f = _two_point_batch(F, x, h, Y)
+            vals[j], quotients = _two_point_batch(F, x, h, Y)
         except EvaluationError as err:
             raise err.with_context(iteration=t) from None
-        vals[j] = f
-        quotients = (f[:, :K] - f[:, K:]) / (2.0 * h)
         eta = np.add.reduce(quotients[:, :, None] * Y, axis=1) / K
         x = X.project(x - rho * eta)
         if j + 1 == block.shape[1]:  # the chunk's last iteration

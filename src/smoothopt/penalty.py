@@ -111,7 +111,7 @@ def _row_norms(R: np.ndarray) -> np.ndarray:
 
 
 class FeasibleSet:
-    """Closed convex region with projection, distance and membership oracles.
+    """Closed convex region with projection and membership oracles.
 
     ``project`` accepts a single point or an array of points stacked along the
     leading axes (the coordinate axis is last) and broadcasts accordingly.
@@ -119,12 +119,6 @@ class FeasibleSet:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def distance(self, x: np.ndarray) -> float:
-        """Euclidean distance to the set: ``||x - project(x)||``."""
-        x = _as_point(x)
-        return float(np.linalg.norm(x - self.project(x), axis=-1)) if x.ndim == 1 \
-            else np.linalg.norm(x - self.project(x), axis=-1)
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
         return bool(np.all(np.linalg.norm(_as_point(x) - self.project(x), axis=-1) <= tol))
@@ -233,12 +227,6 @@ class Ball(FeasibleSet):
         outside = self.center + d * (self.radius / np.where(norm == 0, 1.0, norm))
         # keep interior points bit-identical, one point or many
         return np.where(norm <= self.radius, x, outside)
-
-    def distance(self, x):
-        x = _as_point(x)
-        d = np.linalg.norm(x - self.center, axis=-1) - self.radius
-        out = np.maximum(d, 0.0)
-        return float(out) if x.ndim == 1 else out
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
         return bool(np.all(np.linalg.norm(_as_point(x) - self.center, axis=-1) <= self.radius + tol))

@@ -234,15 +234,17 @@ def _two_point_batch(F, x, h, Y):
     """Probe S runs at ``x_s +- h*y`` for their directions in one stacked call.
 
     ``x`` holds the runs' points ``(S, n)`` and ``Y`` their directions
-    ``(S, K, n)``.  Returns the probes ``(S, 2K, n)``, each run's ``K`` plus
-    probes before its ``K`` minus probes, and their values ``(S, 2K)``.
+    ``(S, K, n)``; each run's ``K`` plus probes go before its ``K`` minus
+    probes.  Returns their values ``(S, 2K)`` and the two-point quotients
+    ``(F(x+h*y) - F(x-h*y)) / (2h)`` ``(S, K)``.
     """
     S, K, n = Y.shape
     hY, x = h * Y, x[:, None]
     P = np.empty((S, 2 * K, n))
     np.add(x, hY, out=P[:, :K])
     np.subtract(x, hY, out=P[:, K:])
-    return P, _evaluate(F, P)
+    f = _evaluate(F, P)
+    return f, (f[:, :K] - f[:, K:]) / (2.0 * h)
 
 
 def grad_estimate(F: Callable, x, kernel: Kernel, K: int,
@@ -257,9 +259,8 @@ def grad_estimate(F: Callable, x, kernel: Kernel, K: int,
         raise ValueError("batch size K must be at least 1")
     x = np.asarray(x, dtype=float)
     Y = kernel.sample_directions(x.size, K, rng)
-    _, f = _two_point_batch(F, x[None], kernel.h, Y[None])
-    quotients = (f[0, :K] - f[0, K:]) / (2.0 * kernel.h)
-    direction = (quotients[:, None] * Y).mean(axis=0)
+    _, quotients = _two_point_batch(F, x[None], kernel.h, Y[None])
+    direction = (quotients[0, :, None] * Y).mean(axis=0)
     scale = kernel.gradient_scale(x.size)
     return GradientEstimate(direction=direction,
                             unbiased_gradient=scale * direction,
@@ -299,7 +300,6 @@ def second_moment_check(F: Callable, x, kernel: Kernel, K_probe: int,
         raise ValueError("K_probe must be at least 1")
     x = np.asarray(x, dtype=float)
     Y = kernel.sample_directions(x.size, K_probe, rng)
-    _, f = _two_point_batch(F, x[None], kernel.h, Y[None])
-    quotients = (f[0, :K_probe] - f[0, K_probe:]) / (2.0 * kernel.h)
-    sq_norms = quotients ** 2 * _row_sum(np.square, Y)
+    _, quotients = _two_point_batch(F, x[None], kernel.h, Y[None])
+    sq_norms = quotients[0] ** 2 * _row_sum(np.square, Y)
     return float(sq_norms.mean())

@@ -98,7 +98,7 @@ class TestSuccessiveSmoothing:
         rec = sgd_run(l1_batch, X2, x0, Schedule(plan.steps[0], WidthRule.fixed(0.5)),
                       "sphere", 2, 60, np.random.default_rng(3))
         assert res.best_value == rec.best_value
-        np.testing.assert_array_equal(res.stages[0].returned_point, rec.weighted_average)
+        np.testing.assert_array_equal(res.stages[0].weighted_average, rec.weighted_average)
         assert res.evaluations == rec.evaluations
 
     def test_coupled_one_stage_plan_matches_sgd_run_and_names_no_width(self):
@@ -109,8 +109,8 @@ class TestSuccessiveSmoothing:
         res = successive_smoothing(l1_batch, X2, plan, "gaussian", x0, np.random.default_rng(3))
         rec = sgd_run(l1_batch, X2, x0, Schedule(plan.steps[0], coupled), "gaussian", 2, 50,
                       np.random.default_rng(3))
-        assert res.best_value == rec.best_value and res.stages[0].h is None
-        np.testing.assert_array_equal(res.stages[0].returned_point, rec.weighted_average)
+        assert res.best_value == rec.best_value and plan.widths == (None,)
+        np.testing.assert_array_equal(res.stages[0].weighted_average, rec.weighted_average)
         with pytest.raises(TypeError):  # an unnamed width needs a width rule
             SmoothingPlan(widths=(None,), steps=plan.steps, iterations=50, batch_size=2)
 
@@ -124,37 +124,31 @@ class TestSuccessiveSmoothing:
         res = successive_smoothing(l1_batch, X2, plan, "sphere", np.array([3.0, 3.0]),
                                    np.random.default_rng(4))
         for prev, cur in zip(res.stages, res.stages[1:]):
-            np.testing.assert_array_equal(cur.start, prev.returned_point)
+            np.testing.assert_array_equal(cur.x_first, prev.weighted_average)
 
     def test_stage_one_starts_from_stage_zero_for_any_beta(self):
         plan = self._plan(beta=1.0)
         res = successive_smoothing(l1_batch, X2, plan, "sphere", np.array([3.0, 3.0]),
                                    np.random.default_rng(5))
-        np.testing.assert_array_equal(res.stages[1].start, res.stages[0].returned_point)
+        np.testing.assert_array_equal(res.stages[1].x_first, res.stages[0].weighted_average)
 
     def test_later_stages_use_ravine_extrapolation(self):
         plan = self._plan(beta=0.7)
         res = successive_smoothing(l1_batch, X2, plan, "sphere", np.array([3.0, 3.0]),
                                    np.random.default_rng(6))
-        a = res.stages[0].returned_point
-        b = res.stages[1].returned_point
-        np.testing.assert_array_equal(res.stages[2].start,
+        a = res.stages[0].weighted_average
+        b = res.stages[1].weighted_average
+        np.testing.assert_array_equal(res.stages[2].x_first,
                                       X2.project(b + 0.7 * (b - a)))
 
-    def test_best_so_far_is_running_minimum(self):
+    def test_best_is_the_first_minimum_over_stages(self):
         plan = self._plan(widths=(2.0, 1.0, 0.5, 0.25), T=30)
         res = successive_smoothing(l1_batch, X2, plan, "gaussian", np.array([4.0, -4.0]),
                                    np.random.default_rng(7))
-        bests = [s.best_so_far for s in res.stages]
-        assert all(b <= a for a, b in zip(bests, bests[1:]))
-        assert res.best_value == bests[-1]
-        assert res.best_value == min(s.best_value for s in res.stages)
-
-    def test_stage_widths_match_plan(self):
-        plan = self._plan()
-        res = successive_smoothing(l1_batch, X2, plan, "sphere", np.zeros(2),
-                                   np.random.default_rng(8))
-        assert tuple(s.h for s in res.stages) == plan.widths
+        values = [s.best_value for s in res.stages]
+        first = values.index(min(values))
+        assert res.best_value == values[first]
+        np.testing.assert_array_equal(res.best_point, res.stages[first].best_point)
 
     def test_evaluation_accounting(self):
         plan = self._plan(widths=(1.0, 0.5), T=25, K=3)

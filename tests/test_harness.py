@@ -13,7 +13,7 @@ import pytest
 from smoothopt.harness import config as config_module
 from smoothopt.harness.cli import main
 from smoothopt.harness.config import ConfigError, load_config, parse_config
-from smoothopt.harness.runner import CSV_COLUMNS, execute_config
+from smoothopt.harness.runner import CSV_COLUMNS, build_problem, execute_config, resolve_plan
 from smoothopt.harness.validate import gradient_suite
 from smoothopt.optimizer import step_kinds
 
@@ -64,9 +64,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown problem"):
             parse_config(dict(BASE, problem={"name": "mystery"}))
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(dict(BASE, typo=1))
+    @pytest.mark.parametrize("data, path", [
+        (dict(BASE, typo=1), "typo"),
+        # a Gaussian step rule has no C
+        (dict(BASE, plan=dict(BASE["plan"], step={"kind": "gaussian-decaying", "C": 5})),
+         "plan.step.C")], ids=["top-level", "gaussian-C"])
+    def test_unknown_key_rejected(self, data, path):
+        with pytest.raises(ConfigError, match="unknown") as err:
+            parse_config(data)
+        assert str(err.value).startswith(f"{path}: unknown")
 
     def test_plan_and_schedule_mutually_exclusive(self):
         bad = dict(BASE)
@@ -381,6 +387,7 @@ class TestExecuteConfig:
     def test_run_records_are_self_describing(self, tmp_path):
         cfg = parse_config(dict(BASE, output=str(tmp_path / "out")))
         _, outcomes = execute_config(cfg)
+        widths = resolve_plan(cfg, build_problem(cfg)).widths
         for outcome in outcomes:
             doc = json.loads(outcome.record_path.read_text())
             assert doc["format"] == "smoothopt-run/1"
@@ -388,8 +395,12 @@ class TestExecuteConfig:
             assert doc["seed"] == outcome.seed
             assert len(doc["stages"]) == 4
             assert doc["evaluations"] == 2 * 1 * 40 * 4
+            assert [s["index"] for s in doc["stages"]] == [0, 1, 2, 3]
+            assert tuple(s["h"] for s in doc["stages"]) == widths
             bests = [s["best_so_far"] for s in doc["stages"]]
-            assert all(b <= a for a, b in zip(bests, bests[1:]))
+            values = [s["best_value"] for s in doc["stages"]]
+            assert bests == [min(values[:i + 1]) for i in range(len(values))]
+            assert bests[-1] == doc["best_value"]
 
     def test_single_stage_schedule_mode(self, tmp_path):
         cfg = parse_config({
@@ -552,12 +563,34 @@ class TestCli:
         assert err.startswith(f"error: {cfg}:1: problem.") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_single_point_box_fails_at_parse_time(self, tmp_path, capsys):
+        # its projection set has no width, so the first stage would have none
+        lines = ["problem: {name: l1-norm, n: 2}", "seeds: [1]", "budget: 1000",
+                 "iterations: 10", f"output: {tmp_path / 'out'}",
+                 "plan: {stages: 2, step: {kind: constant, rho: 0.1}}",
+                 "constraint: {type: box, lower: [0.5, 0.5], upper: [0.5, 0.5]}"]
+        cfg = write_config(tmp_path, "\n".join(lines))
+        point = {"type": "box", "lower": [0.5, 0.5], "upper": [0.5, 0.5]}
+        with pytest.raises(ConfigError, match="single point") as err:
+            parse_config(dict(BASE, problem={"name": "l1-norm", "n": 2}, constraint=point))
+        assert str(err.value).startswith("constraint.upper: ")
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:7: constraint.upper: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["validate", "no-such-suite"]) == 2
 
     def test_rate_checkpoint_1_rejected(self, capsys):
         assert main(["validate", "rate", "--checkpoints", "1"]) == 2
         assert "invalid parameters" in capsys.readouterr().err
+
+    def test_repeated_rate_checkpoints_rejected(self, capsys):
+        # a repeat would pool its gaps into two lines, each claiming every seed
+        assert main(["validate", "rate", "--checkpoints", "5", "3", "5", "700"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid parameters" in captured.err and "distinct" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("suite", ["gradient", "moments", "penalty"])
     def test_checkpoints_outside_the_rate_suite_exit_2_before_running(self, suite, capsys,

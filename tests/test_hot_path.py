@@ -168,9 +168,10 @@ def test_probes_equal_concatenated_formula(S, K, n, h, seed):
     rng = np.random.default_rng(seed)
     x, Y = rng.normal(size=(S, n)), rng.normal(size=(S, K, n))
     seen = []
-    P, f = _two_point_batch(lambda Z: seen.append(Z.copy()) or Z.sum(axis=1), x, h, Y)
+    f, q = _two_point_batch(lambda Z: seen.append(Z.copy()) or Z.sum(axis=1), x, h, Y)
     hY = h * Y
     want = np.concatenate([x[:, None, :] + hY, x[:, None, :] - hY], axis=1)
-    assert np.array_equal(bits(P), bits(want))
+    assert len(seen) == 1
     assert np.array_equal(bits(seen[0]), bits(want.reshape(-1, n)))
-    assert f.shape == (S, 2 * K)
+    assert np.array_equal(bits(f), bits(seen[0].sum(axis=1).reshape(S, 2 * K)))
+    assert np.array_equal(bits(q), bits((f[:, :K] - f[:, K:]) / (2.0 * h)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothopt.penalty import Ball, Box
+from smoothopt.penalty import Ball, Box, CustomSet
 from smoothopt.optimizer import (
     STEP_KINDS,
     Schedule,
@@ -236,10 +236,12 @@ class TestSgdRun:
         sched = Schedule(StepRule("sphere-decaying", D=2, L=2, n=4, K=2), WidthRule.fixed(0.2))
         rng = np.random.default_rng(2)
         rec = sgd_run(l1_batch, X, X.sample(1, rng)[0], sched, "sphere", 2, 300, rng)
-        # one projection per iteration returns x_2..x_301, the last of them x_last
-        assert len(returned) == 300
+        # the start check projects x_1; then one projection per iteration
+        # returns x_2..x_301, the last of them x_last
+        assert len(returned) == 301
+        np.testing.assert_array_equal(returned[0][0], rec.x_first)
         np.testing.assert_array_equal(returned[-1][0], rec.x_last)
-        iterates = np.concatenate([rec.x_first[None], *returned])
+        iterates = np.concatenate(returned)
         assert np.all(np.linalg.norm(iterates, axis=1) <= 1.0 + 1e-9)
 
     def test_start_outside_x_rejected(self):
@@ -248,6 +250,20 @@ class TestSgdRun:
         with pytest.raises(ValueError):
             sgd_run(lambda X: np.zeros(len(X)), X, np.array([2.0, 0.0]), sched, "sphere", 1, 1,
                     rng=0)
+
+    @pytest.mark.parametrize("X", [
+        Box(np.zeros(2), np.ones(2)), Ball(np.array([0.0, 0.5]), 1.0),
+        CustomSet(oracle=Ball(np.array([0.0, 0.5]), 1.0).project,
+                  bounds=(np.array([-1.0, -0.5]), np.array([1.0, 1.5])))],
+        ids=["box", "ball", "custom"])
+    def test_start_is_checked_by_its_projection_residual(self, X):
+        # a start may lie outside X by up to ITERATE_TOL = 1e-9, in every run
+        sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
+        edge = np.array([1.0, 0.5])  # on the boundary of each set
+        near, far = edge + [5e-10, 0.0], edge + [2e-9, 0.0]
+        sgd_run(l1_batch, X, np.array([near, edge]), sched, "sphere", 1, 1, [0, 1])
+        with pytest.raises(ValueError, match="projection set"):
+            sgd_run(l1_batch, X, np.array([edge, far]), sched, "sphere", 1, 1, [0, 1])
 
     def test_kernel_object_rejected_naming_its_width(self):
         # the schedule sets every width, so a Kernel's own would be ignored

@@ -94,26 +94,6 @@ class TestProject:
             Ball(np.zeros(2), 0.0)
 
 
-class TestDistance:
-    def test_member_has_zero_distance(self):
-        assert UNIT_BOX.distance([0.3, 0.8]) == 0.0
-        assert UNIT_BALL.distance([0.3, 0.4]) == 0.0
-
-    def test_ball_distance_is_norm_minus_radius(self):
-        assert UNIT_BALL.distance([3.0, 4.0]) == pytest.approx(4.0)
-
-    def test_box_corner_distance(self):
-        assert UNIT_BOX.distance([2.0, 2.0]) == pytest.approx(math.sqrt(2.0))
-
-    def test_matches_projection_residual(self):
-        rng = np.random.default_rng(4)
-        for feasible in (UNIT_BOX, UNIT_BALL):
-            for _ in range(50):
-                x = rng.uniform(-5, 5, size=2)
-                expected = np.linalg.norm(x - feasible.project(x))
-                assert feasible.distance(x) == pytest.approx(expected, abs=1e-14)
-
-
 def random_set(kind: str, n: int, rng) -> tuple:
     """A Box (degenerate and unbounded sides included), a Ball, or a CustomSet whose
     oracle projects onto a ball or a half-space, checked against its constraint."""
@@ -190,18 +170,6 @@ class TestProjectionProperties:
         X = random_points(S, n, size * scale, rng, count)
         rows = np.stack([S.project(x) for x in X])
         assert S.project(X).tobytes() == rows.tobytes()
-
-    @settings(max_examples=150, deadline=None)
-    @given(**SETS)
-    def test_distance_is_projection_residual(self, kind, n, count, scale, seed):
-        rng = np.random.default_rng(seed)
-        S, size = random_set(kind, n, rng)
-        X = random_points(S, n, size * scale, rng, count)
-        residual = np.array([np.linalg.norm(x - S.project(x)) for x in X])
-        batch = S.distance(X)
-        points = np.array([S.distance(x) for x in X])
-        np.testing.assert_allclose(batch, residual, rtol=1e-12, atol=rounding(X))
-        np.testing.assert_allclose(points, residual, rtol=1e-12, atol=rounding(X))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 8), count=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
