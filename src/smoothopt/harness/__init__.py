@@ -1,8 +1,1 @@
 """Reproducibility layer: config files, benchmark runner, validation suites, CLI."""
-
-from .config import ConfigError, RunConfig, load_config
-from .runner import execute_config, RunOutcome
-from . import validate
-
-__all__ = ["ConfigError", "RunConfig", "load_config", "execute_config",
-           "RunOutcome", "validate"]

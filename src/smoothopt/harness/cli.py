@@ -7,11 +7,17 @@ Subcommands::
     smoothopt bench polygon --n <k>      polygon benchmark at desk-scale budget
     smoothopt estimate-lipschitz <name>  difference-quotient Lipschitz estimate
 
-Exit codes: 0 success; 1 a validation check failed; 2 invalid configuration
-or arguments; 3 an objective evaluation failed (non-finite value), with the
-seed, stage and iteration in the message.  ``run`` and ``bench`` execute all
-seeds of a config in lockstep on one thread, one stacked objective call per
-SGD iteration.
+Exit codes: 0 success; 1 a validation check failed; 2 a config or argument
+error, found before anything runs; 3 an objective evaluation failed
+(non-finite value), with the seed, stage and iteration in the message.
+``run`` and ``bench`` execute all seeds of a config in lockstep on one
+thread, one stacked objective call per SGD iteration.
+
+A config is checked whole when it is read, so every config that parses
+runs (``tests/test_config_property.py`` draws them over the whole schema):
+a bad value fails with a ``file:line:`` anchor, and the output directory is
+not created.  A run then ends in its records and exit 0, or in exit 3; any
+other error is a bug and shows its traceback.
 """
 from __future__ import annotations
 
@@ -36,18 +42,13 @@ _FULL_BUDGET = {3: 4_040, 4: 11_256, 20: 132_264, 50: 620_620,
 
 def _cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
+        csv_path, outcomes = execute_config(load_config(args.config))
+    except ConfigError as exc:  # raised by load_config, before anything runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        csv_path, outcomes = execute_config(cfg)
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"wrote {csv_path} and {len(outcomes)} run records")
     for o in outcomes:
         print(f"  seed {o.seed}: best {o.row['Max. achived']!r} "
@@ -104,14 +105,13 @@ def _cmd_bench(args) -> int:
                  "step": {"kind": "constant-scaled", "alpha": 0.5}},
     }
     try:
-        cfg = parse_config(data)
-        csv_path, outcomes = execute_config(cfg)
+        csv_path, outcomes = execute_config(parse_config(data))
+    except ConfigError as exc:  # raised by parse_config, before anything runs
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # a ConfigError, or a bad value found while running
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     best = max(float(o.row["Max. achived"]) for o in outcomes)
     ideal = outcomes[0].row["Ideal value"]
     print(f"wrote {csv_path}")

@@ -36,12 +36,14 @@ kinds each section takes, with their parameters, are in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from ..continuation import geometric_widths
 from ..optimizer import ITERATE_TOL, STEP_KINDS, step_kinds
 from ..penalty import Ball, Box, FeasibleSet
 from ..problems import make_problem, problem_names, problem_parameters
@@ -57,6 +59,7 @@ _CONSTRAINT_KEYS = {"ball": ("type", "center", "radius", "penalty"),
 _PENALTY_KEYS = ("kind", "M", "anchor")
 _PLAN_KEYS = ("h0", "stages", "decay", "beta", "couple_widths", "step")
 _ABSENT = object()
+_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -136,11 +139,12 @@ class _Checker:
         self.filename = filename
 
     def fail(self, path: str, message: str):
-        # a missing key has no line of its own: anchor at its nearest parent
+        # a missing key has no line of its own: anchor at its nearest parent,
+        # the document for a top-level key
         parent = path
         while parent not in self.lines and "." in parent:
             parent = parent.rsplit(".", 1)[0]
-        raise ConfigError(message, path=path, line=self.lines.get(parent),
+        raise ConfigError(message, path=path, line=self.lines.get(parent, self.lines.get("")),
                           filename=self.filename)
 
     def get(self, path: str, default=None, required=False):
@@ -161,7 +165,7 @@ class _Checker:
                           f"unknown {what} (known keys: {sorted(known)})")
 
     def number(self, path: str, *, default=None, required=False, minimum=None,
-               integer=False, allow_auto=False):
+               integer=False, allow_auto=False, positive=False):
         value = self.get(path, default=_ABSENT, required=required)
         if value is _ABSENT:
             return default
@@ -169,6 +173,10 @@ class _Checker:
             return "auto"
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(path, f"expected a number, got {value!r}")
+        if positive and not 0 < value <= _FLOAT_MAX:
+            self.fail(path, f"{path.rsplit('.', 1)[-1]} must be positive and finite, got {value!r}")
+        if not abs(value) <= _FLOAT_MAX:  # inf, nan, or an integer no float holds
+            self.fail(path, f"expected a finite number, got {value!r}")
         if integer and int(value) != value:
             self.fail(path, f"expected an integer, got {value!r}")
         if minimum is not None and value < minimum:
@@ -181,7 +189,7 @@ class _Checker:
         if not isinstance(v, list) or len(v) != dim:
             self.fail(path, f"expected {what} of {dim} numbers (the problem's dimension), got {v!r}")
         for i, e in enumerate(v):
-            if isinstance(e, bool) or not isinstance(e, (int, float)) or not math.isfinite(e):
+            if isinstance(e, bool) or not isinstance(e, (int, float)) or not abs(e) <= _FLOAT_MAX:
                 self.fail(f"{path}[{i}]", f"expected {what} of finite numbers, got {e!r}")
         return np.asarray(v, dtype=float)
 
@@ -215,15 +223,21 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
     elif isinstance(seeds_raw, list):
         if not seeds_raw:
             c.fail("seeds", "seed list must be non-empty")
+        first: dict[int, int] = {}
         for i, s in enumerate(seeds_raw):
-            if isinstance(s, bool) or not isinstance(s, int):
-                c.fail(f"seeds[{i}]", f"seeds must be integers, got {s!r}")
-        seeds = tuple(int(s) for s in seeds_raw)
+            if isinstance(s, bool) or not isinstance(s, int) or s < 0:
+                c.fail(f"seeds[{i}]", f"seeds must be integers of at least 0, got {s!r}")
+            if first.setdefault(s, i) != i:  # both runs would write one record path
+                c.fail(f"seeds[{i}]", f"seed {s} repeats seeds[{first[s]}]")
+        seeds = tuple(seeds_raw)
     else:
         c.fail("seeds", "seeds must be a list or {master, count}")
 
     budget = c.number("budget", required=True, integer=True, minimum=1)
-    output = c.get("output", default="smoothopt-out")
+    output = str(c.get("output", default="smoothopt-out"))
+    if not next(p for p in (Path(output), *Path(output).parents) if p.exists()).is_dir():
+        c.fail("output", f"output {output!r} is, or lies under, a file: the run could not "
+                         f"write its records")
     iterations = c.number("iterations", required=True, integer=True, minimum=1)
     batch_size = c.number("batch_size", default=1, integer=True, minimum=1)
 
@@ -236,11 +250,24 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
     if constraint is not None:
         constraint = _check_constraint(c, name, constraint)
 
+    # the projection set the runner builds and resolve_plan's widths, from
+    # its diameter when h0 is auto; only a constraint's set can lack a width
+    domain = projection_set(name, problem_params.get("n"), constraint)
+    diameter = float(np.linalg.norm(domain.upper - domain.lower))
+    if not 0 < diameter < math.inf:
+        ctype = constraint["type"]
+        c.fail("constraint.radius" if ctype == "ball" else "constraint.upper",
+               f"the {ctype} is a single point to float precision, or unbounded: its "
+               f"projection set has diameter {diameter!r}, which must be positive and finite")
+    h0 = 0.5 * diameter if plan["h0"] == "auto" else plan["h0"]
+    widths = geometric_widths(h0, plan["stages"], plan["decay"])
+    if not all(a > b > 0 for a, b in zip(widths, widths[1:])):
+        c.fail("plan.decay", f"the stage widths h0 * decay**s must be positive and decreasing "
+                             f"in floating point, got {widths[-1]!r} from h0 = {h0!r}")
+
     start = c.get("start", default="auto")
     if not (isinstance(start, str) and start == "auto"):
-        # the projection set the runner builds, with sgd_run's tolerance
-        n = c.number("problem.n", default=1, integer=True, minimum=1)
-        domain = projection_set(name, n, constraint)
+        # with sgd_run's tolerance
         x = c.vector("start", domain.dimension, "'auto' or a starting point")
         if np.linalg.norm(x - domain.project(x), axis=-1) > ITERATE_TOL:
             c.fail("start", f"starting point must lie in the projection set, "
@@ -252,7 +279,7 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
         kernel=kernel,
         seeds=seeds,
         budget=int(budget),
-        output=str(output),
+        output=output,
         iterations=int(iterations),
         batch_size=int(batch_size),
         plan=plan,
@@ -279,9 +306,7 @@ def _check_problem(c: _Checker) -> tuple[str, dict]:
             if dim != params["n"]:  # a 1-D calibration function would ignore it
                 c.fail("problem.n", f"{name!r} is {dim}-dimensional, got n = {params['n']}")
         elif key in c.get("problem"):  # a penalty coefficient of the polygon
-            params[key] = c.number(f"problem.{key}")
-            if not 0 < params[key] < math.inf:
-                c.fail(f"problem.{key}", f"must be positive and finite, got {params[key]!r}")
+            params[key] = c.number(f"problem.{key}", positive=True)
     return name, params
 
 
@@ -300,16 +325,11 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
     c.keys("constraint", _CONSTRAINT_KEYS[ctype], f"key of a {ctype} constraint")
     if ctype == "ball":
         c.vector("constraint.center", dim)
-        radius = c.number("constraint.radius", required=True)
-        if not radius > 0:
-            c.fail("constraint.radius", f"radius must be positive, got {radius!r}")
+        c.number("constraint.radius", required=True, positive=True)
     else:
         lower, upper = c.vector("constraint.lower", dim), c.vector("constraint.upper", dim)
         if np.any(lower > upper):
             c.fail("constraint.upper", "upper bound below the lower bound in some coordinate")
-        if not np.any(upper > lower):  # a single point: the runs' domain has no width
-            c.fail("constraint.upper", "the box is a single point; some upper bound must "
-                                       "exceed its lower bound")
     feasible = constraint_set(constraint)
 
     pen = c.get("constraint.penalty", default={"kind": "distance", "M": 10.0})
@@ -323,9 +343,7 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
                f"constraint has none of; use distance or ray-retraction")
     if kind not in ("distance", "ray-retraction"):
         c.fail("constraint.penalty.kind", f"unknown penalty kind {kind!r}")
-    M = c.number("constraint.penalty.M", default=10.0)
-    if not M > 0:
-        c.fail("constraint.penalty.M", f"penalty multiplier M must be positive, got {M!r}")
+    c.number("constraint.penalty.M", default=10.0, positive=True)
     if kind == "ray-retraction":
         if "anchor" not in pen:
             c.fail("constraint.penalty", "ray-retraction needs an interior 'anchor' point")
@@ -367,17 +385,13 @@ def _check_plan(c: _Checker) -> dict:
     c.keys(mode, _PLAN_KEYS if mode == "plan" else ("step", "width"), f"{mode} key")
     entry = STEP_KINDS[kind]
     c.keys(f"{mode}.step", ["kind", *entry.params], f"parameter of step kind {kind!r}")
-    for name, default in entry.params.items():
-        value = c.number(f"{mode}.step.{name}", default=default, required=default is None,
-                         allow_auto=default == "auto", minimum=0.0)
-        if value == 0 and (entry.make or name in entry.needs):
-            c.fail(f"{mode}.step.{name}", f"step parameter {name} must be positive, got 0")
+    for name, default in entry.params.items():  # each one a step rule uses
+        c.number(f"{mode}.step.{name}", default=default, required=default is None,
+                 allow_auto=default == "auto", positive=True)
     # a schedule is one stage, where decay and beta never act
     out = {"mode": mode, "step": dict(step), "stages": 1, "decay": 0.5, "beta": 1.0}
     if mode == "plan":
-        out["h0"] = c.number("plan.h0", default="auto", allow_auto=True, minimum=0.0)
-        if out["h0"] == 0:
-            c.fail("plan.h0", "the first stage width must be positive, got 0")
+        out["h0"] = c.number("plan.h0", default="auto", allow_auto=True, positive=True)
         out["stages"] = c.number("plan.stages", default=11, integer=True, minimum=1)
         out["decay"] = c.number("plan.decay", default=0.5)
         if not 0 < out["decay"] < 1:
@@ -394,9 +408,8 @@ def _check_plan(c: _Checker) -> dict:
         c.fail("schedule.width", "width must be {kind: fixed, h: ...} or {kind: coupled}")
     c.keys("schedule.width", ("kind", "h"), "width key")
     out["couple_widths"] = width["kind"] == "coupled"
-    h = c.number("schedule.width.h", required=not out["couple_widths"], minimum=0.0)
-    if h == 0 and not out["couple_widths"]:
-        c.fail("schedule.width.h", "a fixed width must be positive, got 0")
+    h = c.number("schedule.width.h", required=not out["couple_widths"], minimum=0.0,
+                 positive=not out["couple_widths"])
     out["h0"] = (h or "auto") if out["couple_widths"] else h
     return out
 

@@ -100,13 +100,18 @@ def resolve_plan(cfg: RunConfig, problem: ProblemInstance) -> SmoothingPlan:
     ``schedule`` section is a one-stage plan sized to the whole domain:
     ``D = diameter`` when ``auto``, and a coupled width takes the resolved
     Lipschitz estimate and leaves the stage's width unnamed (``None``).
+
+    The estimate is taken at scale ``h0``.  Where it is 0 -- no sampled pair
+    saw the objective change, as a step function does at a scale below the
+    distance to its jump -- no step rule can use it, so it is taken again at
+    half the diameter, the scale of ``h0: auto``.
     """
     plan = cfg.plan
     lower, upper = problem.domain.bounding_box()
     diameter = float(np.linalg.norm(upper - lower))
     h0 = 0.5 * diameter if plan["h0"] == "auto" else plan["h0"]
     widths = geometric_widths(h0, plan["stages"], plan["decay"])
-    L = _resolve_L(cfg, problem, scale=h0)
+    L = _resolve_L(cfg, problem, scale=h0) or _resolve_L(cfg, problem, scale=0.5 * diameter)
     whole = plan["mode"] == "schedule"
     steps = tuple(
         StepRule.build(plan["step"], h=h, D=diameter if whole else 2.0 * h, L=L,

@@ -159,7 +159,7 @@ class TestPenaltyCriteria:
         worst = max(c.measured for c in checks)
         ok = all(c.passed for c in checks) and elapsed < 10.0
         report("7 (penalty exactness)", ok,
-               f"grid argmins coincide within {int(worst)} cell(s) on all "
+               f"grid minima exact within {worst:.2f} of one cell's value error on all "
                f"{len(checks)} problem/multiplier pairs, {elapsed:.1f}s < 10s")
 
     def test_criterion_8_lipschitz_propagation(self):

@@ -102,7 +102,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("section, path", [
         ({"plan": {"h0": 0, "stages": 2}}, "plan.h0"),
         ({"schedule": {"step": {"kind": "constant", "rho": 0.1},
-                       "width": {"kind": "fixed", "h": 0}}}, "schedule.width.h")])
+                       "width": {"kind": "fixed", "h": 0}}}, "schedule.width.h"),
+        # 5e-324 * 0.9 rounds back to 5e-324: the widths would not decrease
+        ({"plan": {"h0": 5e-324, "stages": 2, "decay": 0.9}}, "plan.decay")])
     def test_zero_width_fails_at_parse_time(self, section, path):
         data = {**{k: v for k, v in BASE.items() if k != "plan"}, **section}
         with pytest.raises(ConfigError, match=f"{path}: .* must be positive"):
@@ -140,6 +142,17 @@ class TestConfigValidation:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
         assert out.strip() == "False"
+
+    @pytest.mark.parametrize("module, absent", [
+        ("validate", ["smoothopt.harness.runner", "smoothopt.harness.config"]),
+        ("runner", ["smoothopt.harness.validate"])])
+    def test_import_loads_no_other_harness_module(self, module, absent):
+        # without a bytecode cache a set-up compiles every module it imports
+        code = (f"import sys, smoothopt.harness.{module}; "
+                f"print([m for m in {absent!r} if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
 
     def test_error_carries_line_anchor(self, tmp_path):
         path = write_config(tmp_path, "\n".join([
@@ -418,6 +431,20 @@ class TestExecuteConfig:
         assert rows[0]["stages"] == "1"
         assert int(rows[0]["Func. calc."]) == 400
 
+    def test_flat_lipschitz_estimate_is_retaken_at_half_the_diameter(self, tmp_path):
+        # lsc-step-1d jumps at 0: among 1000 points of [-1, 1], hardly one lies
+        # within h0 = 1e-6 of it, so every quotient at that scale is 0
+        from smoothopt.harness import runner as runner_mod
+
+        plan = {"h0": 1e-6, "stages": 1, "step": {"kind": "sphere-decaying"}}
+        cfg = parse_config(dict(BASE, problem={"name": "lsc-step-1d"}, output=str(tmp_path),
+                                plan=plan))
+        problem = build_problem(cfg)
+        assert runner_mod._resolve_L(cfg, problem, scale=1e-6) == 0
+        L = runner_mod._resolve_L(cfg, problem, scale=1.0)  # the domain [-1, 1]
+        assert L > 0 and resolve_plan(cfg, problem).steps[0].L == L
+        assert len(execute_config(cfg)[1]) == len(cfg.seeds)
+
     def test_constraint_wrapped_problem(self, tmp_path):
         cfg = parse_config({
             "problem": {"name": "l1-norm", "n": 2},
@@ -577,6 +604,44 @@ class TestCli:
         assert main(["run", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}:7: constraint.upper: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("constraint, path", [
+        (["type: box", "lower: [0.0, 0.0]", "upper: [1.0e-300, 1.0e-300]"], "constraint.upper"),
+        (["type: ball", "center: [0.0, 0.0]", "radius: 1.0e-300"], "constraint.radius")],
+        ids=["box", "ball"])
+    def test_projection_set_without_width_fails_at_parse_time(self, tmp_path, capsys,
+                                                              constraint, path):
+        # its diameter underflows to 0, so h0 = auto would be 0
+        lines = ["problem: {name: l1-norm, n: 2}", "seeds: [1]", "budget: 1000",
+                 "iterations: 10", f"output: {tmp_path / 'out'}",
+                 "plan: {stages: 2, step: {kind: constant, rho: 0.1}}", "constraint:",
+                 *(f"  {line}" for line in constraint)]
+        cfg = write_config(tmp_path, "\n".join(lines))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:10: {path}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds, line, index", [
+        (["  - 3", "  - -1"], 4, 1),
+        (["  - 1", "  - 2", "  - 1"], 5, 2)], ids=["negative", "repeated"])
+    def test_bad_seed_entry_fails_at_parse_time(self, tmp_path, capsys, seeds, line, index):
+        # a repeated seed's runs would write one record path
+        cfg = write_config(tmp_path, "\n".join([
+            "problem: {name: two-well-1d}", "seeds:", *seeds, "budget: 1000",
+            "iterations: 10", f"output: {tmp_path / 'out'}",
+            "plan: {stages: 2, step: {kind: constant, rho: 0.1}}"]))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: seeds[{index}]: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output", ["cfg.yaml", "cfg.yaml/out"])
+    def test_output_under_a_file_fails_at_parse_time(self, tmp_path, capsys, output):
+        # mkdir would fail only after every seed had run
+        cfg = write_config(tmp_path, "\n".join([
+            "problem: {name: two-well-1d}", "seeds: [1]", "budget: 1000", "iterations: 10",
+            f"output: {tmp_path / output}", "plan: {stages: 2, step: {kind: constant, rho: 0.1}}"]))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:5: output: ")
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["validate", "no-such-suite"]) == 2

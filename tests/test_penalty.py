@@ -15,6 +15,7 @@ from smoothopt.penalty import (
     penalized_function,
     ray_retraction,
 )
+from smoothopt.harness import validate
 
 
 def box_constraints(lower, upper) -> list:
@@ -352,6 +353,27 @@ class TestLemmas:
             fvals = np.where(feasible, f_batch(P), np.inf)
             gap = np.abs(P[np.argmin(F2)] - P[np.argmin(fvals)])
             assert np.all(gap <= cell + 1e-12)
+
+    @settings(max_examples=6, deadline=None)
+    @given(grid=st.integers(120, 400))
+    def test_exactness_checks_pass_on_any_grid(self, grid):
+        # near the ball's arc the grid argmins slide with the grid; the minima do not
+        checks = validate.exactness_checks(grid=grid)
+        assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
+
+    @pytest.mark.parametrize("grid", [120, 347, 400])
+    def test_exactness_fails_without_the_distance_term(self, grid, monkeypatch):
+        # f(P x) alone has the minimum value f*, also at points outside the set;
+        # the first such grid point lies outside the ball and the polygon (on
+        # the l1 box, whose minimizer is a corner of that region, it may not)
+        def inexact(f_batch, feasible, spec):
+            return lambda X: f_batch(feasible.project(X))
+
+        monkeypatch.setattr(validate, "penalized_batch", inexact)
+        failed = {c.name for c in validate.exactness_checks(grid=grid) if not c.passed}
+        assert {n for n in failed if "l1 on box" not in n} == {
+            f"exactness {name} M={M}" for M in (0.1, 1.0, 10.0)
+            for name in ("linear on ball", "piecewise max on box-halfplane")}
 
     def test_lipschitz_constant_propagates(self):
         # |F2(x) - F2(y)| <= (L + 2M) ||x - y|| for L-Lipschitz f on convex D
