@@ -12,12 +12,19 @@ Quick start::
     import numpy as np
     import smoothopt as so
 
-    problem = so.make_problem("polygon", n=3)
-    plan = so.default_plan(problem.domain, iterations=200, batch_size=2, L=15.0)
+    problem = so.make_problem("polygon", n=4)
+    X = problem.domain
+    h0 = 0.5 * X.diameter
+    L = so.estimate_lipschitz(problem.objective_batch, X, h0, rng=0)
+    widths = so.geometric_widths(h0, stages=11, decay=0.5)
+    plan = so.SmoothingPlan(
+        widths=widths,
+        steps=tuple(so.StepRule.constant(0.5 * h / L) for h in widths),
+        iterations=600, batch_size=2, ravine_beta=0.5)
     result = so.successive_smoothing(
-        problem.objective_batch, problem.domain, plan, "sphere",
-        problem.sample_start(np.random.default_rng(0)), rng=0)
-    print("area:", problem.report(result.best_value))
+        problem.objective_batch, X, plan, "sphere",
+        problem.sample_start(np.random.default_rng(0)), rng=1)
+    print("area:", problem.report(result.best_value))   # ~0.4999 (ideal 0.5)
 
 Every objective the optimizer layers call is a batch objective, rows ``(m, n)``
 in and ``m`` values out; wrap a one-point ``f`` as ``lambda P: np.array([f(p) for p in P])``.
@@ -57,7 +64,6 @@ from .optimizer import (
 from .continuation import (
     ContinuationResult,
     SmoothingPlan,
-    default_plan,
     geometric_widths,
     ravine_start,
     successive_smoothing,

@@ -23,8 +23,7 @@ import numpy as np
 
 from .penalty import FeasibleSet
 from .smoothing import EvaluationError
-from .optimizer import (RunRecord, Schedule, StepRule, WidthRule, _lockstep_starts, sgd_run,
-                        step_kinds)
+from .optimizer import RunRecord, Schedule, StepRule, WidthRule, _lockstep_starts, sgd_run
 
 __all__ = [
     "SmoothingPlan",
@@ -32,7 +31,6 @@ __all__ = [
     "ravine_start",
     "successive_smoothing",
     "geometric_widths",
-    "default_plan",
 ]
 
 
@@ -174,32 +172,3 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
                                 evaluations=sum(record.evaluations for record in stages))
     return result.run(0) if single else result
 
-
-def default_plan(X: FeasibleSet, *, iterations: int, batch_size: int,
-                 L: float, stages: int = 11, decay: float = 0.5,
-                 beta: float = 1.0, C: float = 1.0,
-                 step_kind: str = "sphere-decaying",
-                 step_alpha: float = 0.1) -> SmoothingPlan:
-    """Plan with geometric widths from half the diameter of ``X`` down ~1000x.
-
-    The default 11 stages at decay 0.5 end near ``1e-3 * h0``.  Step rules are
-    built per stage with the distance bound tied to the stage scale
-    (``D_s = 2 * h_s``): a stage's minimizer is expected within the previous
-    stage's width of the warm start, so steps sized to the whole domain would
-    be wasted after the first stage.  ``step_kind`` is a kind that a config
-    ``plan`` takes (see :data:`smoothopt.optimizer.STEP_KINDS`) with the
-    parameters ``step_alpha`` and ``C``: ``"constant-scaled"`` uses
-    ``rho_s = step_alpha * h_s / L``.
-    """
-    if step_kind not in step_kinds("plan"):
-        raise ValueError(f"unsupported default step kind {step_kind!r}")
-    lower, upper = X.bounding_box()
-    diameter = float(np.linalg.norm(upper - lower))
-    if not diameter > 0:
-        raise ValueError("projection set has zero diameter")
-    widths = geometric_widths(0.5 * diameter, stages, decay)
-    step = {"kind": step_kind, "alpha": step_alpha, "C": C}
-    steps = tuple(StepRule.build(step, h=h, D=2.0 * h, L=L, n=lower.size, K=batch_size,
-                                 T=iterations) for h in widths)
-    return SmoothingPlan(widths=widths, steps=steps, iterations=iterations,
-                         batch_size=batch_size, ravine_beta=beta)

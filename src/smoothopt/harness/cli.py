@@ -127,8 +127,7 @@ def _cmd_estimate_lipschitz(args) -> int:
         return 2
     try:
         problem = make_problem(args.problem, n=args.n)
-        lower, upper = problem.domain.bounding_box()
-        scale = 0.5 * float(np.linalg.norm(upper - lower)) if args.scale is None else args.scale
+        scale = 0.5 * problem.domain.diameter if args.scale is None else args.scale
         L = estimate_lipschitz(problem.objective_batch, problem.domain, scale,
                                np.random.default_rng(args.seed), samples=args.samples)
     except ValueError as exc:  # a bad --n, --scale (not positive) or --samples (below 1)

@@ -44,12 +44,12 @@ from typing import Any
 import numpy as np
 
 from ..continuation import geometric_widths
-from ..optimizer import ITERATE_TOL, STEP_KINDS, step_kinds
-from ..penalty import Ball, Box, FeasibleSet
+from ..optimizer import ITERATE_TOL, STEP_KINDS, StepRule, step_kinds
+from ..penalty import Ball, Box, FeasibleSet, PenaltySpec
 from ..problems import make_problem, problem_names, problem_parameters
 
 __all__ = ["ConfigError", "RunConfig", "constraint_set", "load_config", "parse_config",
-           "projection_set"]
+           "projection_set", "stage_steps"]
 
 _KERNELS = ("sphere", "gaussian")
 _TOP_KEYS = ("problem", "kernel", "seeds", "budget", "output", "iterations", "batch_size",
@@ -108,7 +108,9 @@ def _line_map(text: str) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration (see module docstring for the file format)."""
+    """Validated run configuration (see module docstring for the file format);
+    ``plan`` also holds the resolved ``h0``, ``h_auto`` (half the projection
+    set's diameter), the run's stage ``widths`` and each stage's ``D: auto``."""
 
     problem_name: str
     problem_params: dict
@@ -250,20 +252,24 @@ def parse_config(data: dict, *, lines: dict[str, int] | None = None,
     if constraint is not None:
         constraint = _check_constraint(c, name, constraint)
 
-    # the projection set the runner builds and resolve_plan's widths, from
-    # its diameter when h0 is auto; only a constraint's set can lack a width
+    # the projection set the runner builds and the stages it runs, each step
+    # sized to its stage or a schedule to the whole set; only a constraint's
+    # set can lack a width
     domain = projection_set(name, problem_params.get("n"), constraint)
-    diameter = float(np.linalg.norm(domain.upper - domain.lower))
+    diameter = domain.diameter
     if not 0 < diameter < math.inf:
         ctype = constraint["type"]
         c.fail("constraint.radius" if ctype == "ball" else "constraint.upper",
                f"the {ctype} is a single point to float precision, or unbounded: its "
                f"projection set has diameter {diameter!r}, which must be positive and finite")
-    h0 = 0.5 * diameter if plan["h0"] == "auto" else plan["h0"]
-    widths = geometric_widths(h0, plan["stages"], plan["decay"])
+    plan["h_auto"] = 0.5 * diameter
+    plan["h0"] = plan["h_auto"] if plan["h0"] == "auto" else plan["h0"]
+    widths = plan["widths"] = geometric_widths(plan["h0"], plan["stages"], plan["decay"])
     if not all(a > b > 0 for a, b in zip(widths, widths[1:])):
         c.fail("plan.decay", f"the stage widths h0 * decay**s must be positive and decreasing "
-                             f"in floating point, got {widths[-1]!r} from h0 = {h0!r}")
+                             f"in floating point, got {widths[-1]!r} from h0 = {plan['h0']!r}")
+    plan["D"] = (diameter,) if plan["mode"] == "schedule" else tuple(2.0 * h for h in widths)
+    _check_steps(c, plan, domain.dimension, batch_size, iterations)
 
     start = c.get("start", default="auto")
     if not (isinstance(start, str) and start == "auto"):
@@ -332,24 +338,24 @@ def _check_constraint(c: _Checker, name: str, constraint) -> dict:
             c.fail("constraint.upper", "upper bound below the lower bound in some coordinate")
     feasible = constraint_set(constraint)
 
-    pen = c.get("constraint.penalty", default={"kind": "distance", "M": 10.0})
+    pen = c.get("constraint.penalty", default={})
     if not isinstance(pen, dict):
         c.fail("constraint.penalty", "penalty must be a mapping")
     c.keys("constraint.penalty", _PENALTY_KEYS, "penalty key")
-    kind = pen.get("kind", "distance")
+    kind = pen.get("kind", PenaltySpec.kind)
     if kind == "constraint-sum":
         c.fail("constraint.penalty.kind",
                f"constraint-sum needs explicit constraint functions, which a {ctype} "
                f"constraint has none of; use distance or ray-retraction")
     if kind not in ("distance", "ray-retraction"):
         c.fail("constraint.penalty.kind", f"unknown penalty kind {kind!r}")
-    c.number("constraint.penalty.M", default=10.0, positive=True)
+    M = c.number("constraint.penalty.M", default=PenaltySpec.M, positive=True)
     if kind == "ray-retraction":
         if "anchor" not in pen:
             c.fail("constraint.penalty", "ray-retraction needs an interior 'anchor' point")
         if not feasible.contains(c.vector("constraint.penalty.anchor", dim)):
             c.fail("constraint.penalty.anchor", "anchor must lie in the constraint set")
-    return dict(constraint, penalty=dict(pen))
+    return dict(constraint, penalty=dict(pen, kind=kind, M=M))
 
 
 def projection_set(name: str, n: int | None, constraint: dict | None) -> Box:
@@ -412,6 +418,29 @@ def _check_plan(c: _Checker) -> dict:
                  positive=not out["couple_widths"])
     out["h0"] = (h or "auto") if out["couple_widths"] else h
     return out
+
+
+def stage_steps(plan: dict, n: int, K: int, T: int, L: float | None = None) -> tuple[StepRule, ...]:
+    """Each stage's step rule of a checked ``plan``, the estimated ``L`` given."""
+    return tuple(StepRule.build(plan["step"], h=h, D=D, L=L, n=n, K=K, T=T)
+                 for h, D in zip(plan["widths"], plan["D"]))
+
+
+def _check_steps(c: _Checker, plan: dict, n: int, K: int, T: int):
+    """Fail where a stage's step size, monotone in ``t``, leaves (0, inf) at t = 1 or T.
+
+    A rule that takes the Lipschitz estimate (``L: auto``, or ``constant-scaled``'s
+    ``alpha * h / L``) is known only at run time, where ``sgd_run`` checks it.
+    """
+    entry = STEP_KINDS[plan["step"]["kind"]]
+    if entry.make is not None or plan["step"].get("L", entry.params.get("L")) == "auto":
+        return
+    for s, rule in enumerate(stage_steps(plan, n, K, T)):
+        with np.errstate(all="ignore"):  # an overflow is what is checked
+            first, last = rule.value(np.array([1, T])).tolist()
+        if not (0 < first < math.inf and 0 < last < math.inf):
+            c.fail(f"{plan['mode']}.step", f"step sizes must be positive and finite, got "
+                                           f"rho_1 = {first!r} and rho_T = {last!r} at stage {s}")
 
 
 def load_config(path: str | Path) -> RunConfig:

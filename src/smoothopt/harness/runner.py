@@ -23,12 +23,12 @@ from itertools import accumulate
 from pathlib import Path
 import numpy as np
 
-from ..continuation import SmoothingPlan, geometric_widths, successive_smoothing
-from ..optimizer import StepRule, WidthRule, estimate_lipschitz
+from ..continuation import SmoothingPlan, successive_smoothing
+from ..optimizer import WidthRule, estimate_lipschitz
 from ..penalty import PenaltySpec, penalized_batch, penalized_function
 from ..problems import ProblemInstance, make_problem
 from ..smoothing import EvaluationError
-from .config import RunConfig, constraint_set, projection_set
+from .config import RunConfig, constraint_set, projection_set, stage_steps
 
 __all__ = ["RunOutcome", "execute_config", "build_problem", "resolve_plan",
            "CSV_COLUMNS", "worker_count"]
@@ -70,9 +70,7 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
     if cfg.constraint is None:
         return problem
     feasible = constraint_set(cfg.constraint)
-    pen = cfg.constraint["penalty"]
-    spec = PenaltySpec(kind=pen.get("kind", "distance"), M=float(pen.get("M", 10.0)),
-                       anchor=pen.get("anchor"))
+    spec = PenaltySpec(**cfg.constraint["penalty"])
     domain = projection_set(cfg.problem_name, n, cfg.constraint)
     return ProblemInstance(
         name=problem.name, dimension=problem.dimension,
@@ -93,32 +91,21 @@ def _resolve_L(cfg: RunConfig, problem: ProblemInstance, scale: float) -> float:
 
 
 def resolve_plan(cfg: RunConfig, problem: ProblemInstance) -> SmoothingPlan:
-    """Turn the config's plan section into a concrete :class:`SmoothingPlan`.
+    """The config's checked stages, with the Lipschitz estimate, as a :class:`SmoothingPlan`.
 
-    A plan sizes each stage's step to the stage (``D = 2 * h_s`` when
-    ``auto``), and its coupled widths take the step rule's ``L``.  A
-    ``schedule`` section is a one-stage plan sized to the whole domain:
-    ``D = diameter`` when ``auto``, and a coupled width takes the resolved
-    Lipschitz estimate and leaves the stage's width unnamed (``None``).
-
-    The estimate is taken at scale ``h0``.  Where it is 0 -- no sampled pair
-    saw the objective change, as a step function does at a scale below the
-    distance to its jump -- no step rule can use it, so it is taken again at
-    half the diameter, the scale of ``h0: auto``.
+    A plan's coupled widths take the step rule's ``L``; a ``schedule``'s one
+    coupled stage takes the estimate and names no width (``None``).  The
+    estimate is taken at scale ``h0``, and where it is 0 -- no sampled pair saw
+    the objective change, as at a scale below a step function's distance to
+    its jump -- again at ``h_auto``, half the diameter.
     """
     plan = cfg.plan
-    lower, upper = problem.domain.bounding_box()
-    diameter = float(np.linalg.norm(upper - lower))
-    h0 = 0.5 * diameter if plan["h0"] == "auto" else plan["h0"]
-    widths = geometric_widths(h0, plan["stages"], plan["decay"])
-    L = _resolve_L(cfg, problem, scale=h0) or _resolve_L(cfg, problem, scale=0.5 * diameter)
-    whole = plan["mode"] == "schedule"
-    steps = tuple(
-        StepRule.build(plan["step"], h=h, D=diameter if whole else 2.0 * h, L=L,
-                       n=problem.dimension, K=cfg.batch_size, T=cfg.iterations)
-        for h in widths)
-    width_rule = None
+    L = (_resolve_L(cfg, problem, scale=plan["h0"])
+         or _resolve_L(cfg, problem, scale=plan["h_auto"]))
+    steps = stage_steps(plan, problem.dimension, cfg.batch_size, cfg.iterations, L)
+    widths, width_rule = plan["widths"], None
     if plan["couple_widths"]:
+        whole = plan["mode"] == "schedule"
         width_rule = WidthRule.coupled(L=L if whole else steps[0].L, K=cfg.batch_size)
         widths = (None,) if whole else widths
     return SmoothingPlan(widths=widths, steps=steps, iterations=cfg.iterations,

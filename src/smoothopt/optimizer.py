@@ -99,8 +99,8 @@ _AUTO = {"D": "auto", "L": "auto"}  # the Gaussian rules have no C
 _ANALYTIC = {**_AUTO, "C": 1.0}
 _HAND_SET = "a step size set by hand carries no rate guarantee"
 
-# The one table of step kinds, read by StepRule, rate_bound, the config, the
-# runner and default_plan.  rho and the bounds keep their operations in order.
+# The one table of step kinds, read by StepRule, rate_bound, the config and
+# the runner.  rho and the bounds keep their operations in order.
 STEP_KINDS: dict[str, StepKind] = {
     "constant": StepKind(lambda r, tau: _full_like(tau, r.rho), ("rho",), {"rho": None},
                          _HAND_SET, ("plan", "schedule")),
@@ -365,9 +365,9 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
     S = 1.  ``kernel`` names the direction law, ``"sphere"`` or ``"gaussian"``;
     a :class:`Kernel`, whose width the schedule would override, raises
     ``TypeError``.  ``schedule`` gives every ``rho_t`` and ``h_t`` in one
-    array call up front, so a fixed rule's horizon below ``T`` or a width
-    that is not positive raises ``ValueError`` before any evaluation, as a
-    bad start does.
+    array call up front, so a fixed rule's horizon below ``T``, a step size
+    or a width that is not positive and finite raises ``ValueError`` before
+    any evaluation, as a bad start does.
     """
     if T < 1:
         raise ValueError("iteration count T must be at least 1")
@@ -377,9 +377,12 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
     if not np.all(np.isfinite(x)) or \
             np.any(np.linalg.norm(x - X.project(x), axis=-1) > ITERATE_TOL):
         raise ValueError("starting point x1 must lie in the projection set X")
-    rhos, hs = schedule.values(np.arange(1, T + 1))
-    if not np.all(hs > 0):  # a coupled width is L * rho / K, with L possibly estimated as 0
-        raise ValueError("kernel width h must be positive")
+    with np.errstate(all="ignore"):  # a value that overflows is rejected below
+        rhos, hs = schedule.values(np.arange(1, T + 1))
+    if not np.all((rhos > 0) & (rhos < np.inf)):
+        raise ValueError("step sizes rho_t must be positive and finite")
+    if not np.all((hs > 0) & (hs < np.inf)):  # a coupled width is L * rho / K, L maybe 0
+        raise ValueError("kernel width h must be positive and finite")
     if isinstance(kernel, Kernel):
         raise TypeError(f"kernel must name a direction law such as {kernel.variant!r}, not be a "
                         f"Kernel: its width h = {kernel.h} would be ignored, as the schedule "

@@ -199,6 +199,11 @@ class Box(FeasibleSet):
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
 
+    @property
+    def diameter(self) -> float:
+        """Euclidean length of the box's diagonal."""
+        return float(np.linalg.norm(self.upper - self.lower))
+
     def sample(self, count, rng):
         return rng.uniform(self.lower, self.upper, size=(count, self.lower.size))
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .penalty import Box, FeasibleSet, one_row
+from .penalty import Box, one_row
 from .smoothing import _row_sum
 
 __all__ = [
@@ -272,7 +272,7 @@ class ProblemInstance:
     dimension: int
     objective: Callable[[np.ndarray], float]
     objective_batch: Callable[[np.ndarray], np.ndarray]
-    domain: FeasibleSet
+    domain: Box
     sample_start: Callable[[np.random.Generator], np.ndarray]
     report: Callable[[float], float]
     ideal_value: float | None

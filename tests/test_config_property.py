@@ -13,11 +13,11 @@ exit 3).
 numpy warnings are errors under pytest, so the draws bound their
 magnitudes: a number the parser must accept lies within [1e-6, 1e6] in
 absolute value, where no tiny run overflows or rounds a step size to zero.
-(Far outside it a step size can still overflow mid-run.)  Beside those the
-draws take what the parser must reject -- 0, negatives, ``.inf``, ``.nan``,
-an integer no float holds, ``auto`` where it is not allowed -- and
-constraint sets of width 1e-300, whose diameter underflows to 0; the
-examples add widths that underflow within a plan.
+Beside those the draws take what the parser must reject -- 0, negatives,
+``.inf``, ``.nan``, an integer no float holds, ``auto`` where it is not
+allowed -- and constraint sets of width 1e-300, whose diameter underflows to
+0; the examples add widths that underflow within a plan, and a step size
+that overflows.
 """
 import math
 import tempfile
@@ -176,6 +176,8 @@ TINY = {"problem": {"name": "two-well-1d"}, "seeds": [1], "iterations": 2, "budg
 @example(dict(TINY, plan={"h0": 5e-324, "stages": 2, "decay": 0.9}))
 @example(dict(TINY, problem={"name": "lsc-step-1d"},
               plan={"h0": 1e-6, "stages": 1, "step": {"kind": "sphere-decaying"}}))
+@example(dict(TINY, problem={"name": "l1-norm", "n": 2},
+              plan={"stages": 2, "step": {"kind": "sphere-decaying", "L": 1e-300, "D": 1e300}}))
 @given(configs())
 def test_every_config_that_parses_runs(data):
     with tempfile.TemporaryDirectory() as tmp:

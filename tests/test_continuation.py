@@ -3,7 +3,6 @@ import pytest
 
 from smoothopt.continuation import (
     SmoothingPlan,
-    default_plan,
     geometric_widths,
     ravine_start,
     successive_smoothing,
@@ -66,13 +65,6 @@ class TestSmoothingPlan:
             assert sched.width.kind == "fixed"
             assert sched.values(3) == (0.1, h)
 
-    def test_default_plan_spans_three_decades(self):
-        plan = default_plan(X2, iterations=10, batch_size=2, L=1.0)
-        assert plan.stages == 11
-        assert plan.widths[-1] / plan.widths[0] == pytest.approx(2.0 ** -10)
-        lower, upper = X2.bounding_box()
-        assert plan.widths[0] == pytest.approx(0.5 * float(np.linalg.norm(upper - lower)))
-
 
 def test_package_quick_start_runs(capsys):
     import textwrap
@@ -81,6 +73,21 @@ def test_package_quick_start_runs(capsys):
     block = smoothopt.__doc__.split("Quick start::")[1].split("\n\nEvery objective")[0]
     exec(textwrap.dedent(block), {})
     assert capsys.readouterr().out.startswith("area: ")
+
+
+def test_readme_examples_run(capsys):
+    # every python block of the README, in order and in one namespace: the
+    # constrained example reuses the quick start's imports
+    import re
+    from pathlib import Path
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert capsys.readouterr().out.startswith("area: ")
+    assert namespace["L"] > 0
 
 
 class TestSuccessiveSmoothing:

@@ -401,6 +401,7 @@ class TestExecuteConfig:
         cfg = parse_config(dict(BASE, output=str(tmp_path / "out")))
         _, outcomes = execute_config(cfg)
         widths = resolve_plan(cfg, build_problem(cfg)).widths
+        assert widths == cfg.plan["widths"]  # the widths the config checked
         for outcome in outcomes:
             doc = json.loads(outcome.record_path.read_text())
             assert doc["format"] == "smoothopt-run/1"
@@ -619,6 +620,25 @@ class TestCli:
         cfg = write_config(tmp_path, "\n".join(lines))
         assert main(["run", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}:10: {path}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, anchor", [
+        (["plan: {stages: 2, step: {kind: sphere-decaying, L: 1.0e-300, D: 1.0e+300}}"],
+         "6: plan.step"),
+        # D: auto is the stage's 2 h
+        (["plan: {h0: 1.0e+300, stages: 2, step: {kind: sphere-decaying, L: 1.0e-10}}"],
+         "6: plan.step"),
+        (["schedule:", "  step: {kind: gaussian-fixed, D: 1.0e-300, L: 1.0e+300}",
+          "  width: {kind: fixed, h: 0.1}"], "7: schedule.step")],
+        ids=["overflow", "overflow-auto-D", "underflow"])
+    def test_step_size_out_of_range_fails_at_parse_time(self, tmp_path, capsys, section, anchor):
+        # stage 0 would step by inf, or by 0 with an average of 0 / 0
+        cfg = write_config(tmp_path, "\n".join([
+            "problem: {name: l1-norm, n: 2}", "seeds: [1]", "budget: 1000",
+            "iterations: 10", f"output: {tmp_path / 'out'}", *section]))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}:{anchor}: step sizes must be positive and finite")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds, line, index", [

@@ -147,6 +147,10 @@ def test_array_t_checked_like_scalar_t():
     (Schedule(StepRule("gaussian-fixed", D=1, L=1, n=2, K=1, T=5), WidthRule.fixed(0.1)), 40),
     # a coupled width L * rho / K with an estimated L of 0
     (Schedule(StepRule("sphere-decaying", D=1, L=1, n=2, K=1), WidthRule.coupled(L=0.0, K=1)), 3),
+    # step sizes that overflow to inf or underflow to 0, and a coupled width that overflows
+    (Schedule(StepRule("sphere-decaying", D=1e300, L=1e-300, n=2, K=1), WidthRule.fixed(0.1)), 3),
+    (Schedule(StepRule("gaussian-decaying", D=1e-300, L=1e300, n=2, K=1), WidthRule.fixed(0.1)), 3),
+    (Schedule(StepRule("sphere-decaying", D=1e300, L=1, n=2, K=1), WidthRule.coupled(L=1e300, K=1)), 3),
 ])
 def test_bad_schedule_fails_before_any_evaluation(schedule, T):
     rows = []

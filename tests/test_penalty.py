@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smoothopt.penalty import (
     Ball,
@@ -12,6 +12,7 @@ from smoothopt.penalty import (
     CustomSet,
     PenaltySpec,
     penalize,
+    penalized_batch,
     penalized_function,
     ray_retraction,
 )
@@ -334,25 +335,40 @@ class TestPenalize:
             PenaltySpec("no-such-kind")
 
 
+def _exactness_error(penalty, grid, M):
+    """The bound of ``validate.exactness_checks`` for f = x - 2y on a ball, on a
+    ``grid`` x ``grid`` lattice: how far the F2 grid minimum undercuts f's
+    minimum over the feasible grid points, and ``M * dist`` at F2's argmin,
+    the larger in units of one cell's value error (L = sqrt(5) times its
+    diagonal); an exact penalty keeps it at most 1."""
+    f_batch = lambda P: P[:, 0] - 2 * P[:, 1]
+    ball = Ball(np.array([0.2, -0.1]), 0.8)
+    xs = np.linspace(-1.2, 1.6, grid)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    P = np.column_stack([gx.ravel(), gy.ravel()])
+    dist = np.linalg.norm(P - ball.project(P), axis=1)
+    f_min = float(np.min(f_batch(P[dist <= 1e-9])))
+    cell = math.sqrt(5.0) * math.hypot(xs[1] - xs[0], xs[1] - xs[0])
+    F2 = penalty(f_batch, ball, PenaltySpec("distance", M=M))(P)
+    i = int(np.argmin(F2))
+    return max(f_min - float(F2[i]), M * float(dist[i])) / cell
+
+
 class TestLemmas:
-    def test_exactness_small_grid(self):
-        # grid argmin of the distance penalty matches the constrained argmin
-        # for any multiplier; full 400x400 version lives in the penalty suite
-        f = lambda p: float(p[0] - 2 * p[1])
-        f_batch = lambda P: P[:, 0] - 2 * P[:, 1]
-        ball = Ball(np.array([0.2, -0.1]), 0.8)
-        xs = np.linspace(-1.2, 1.6, 101)
-        gx, gy = np.meshgrid(xs, xs, indexing="ij")
-        P = np.column_stack([gx.ravel(), gy.ravel()])
-        proj = ball.project(P)
-        dist = np.linalg.norm(P - proj, axis=1)
-        feasible = dist <= 1e-12
-        cell = xs[1] - xs[0]
+    @settings(max_examples=8, deadline=None)
+    @given(grid=st.integers(60, 300))
+    @example(grid=69)
+    def test_exactness_small_grid(self, grid):
+        # the grid argmins of F2 and of f on the set slide along the ball's arc
+        # with the grid (at grid 69 they lie 3 cells apart); the minima do not.
+        # Without its distance term, F2 = f(P x) takes f's minimum outside the set
+        def inexact(f_batch, feasible, spec):
+            return lambda X: f_batch(feasible.project(X))
+
         for M in (0.1, 1.0, 10.0):
-            F2 = f_batch(proj) + M * dist
-            fvals = np.where(feasible, f_batch(P), np.inf)
-            gap = np.abs(P[np.argmin(F2)] - P[np.argmin(fvals)])
-            assert np.all(gap <= cell + 1e-12)
+            assert _exactness_error(penalized_batch, grid, M) <= 1.0
+        for M in (1.0, 10.0):
+            assert _exactness_error(inexact, grid, M) > 1.0
 
     @settings(max_examples=6, deadline=None)
     @given(grid=st.integers(120, 400))
