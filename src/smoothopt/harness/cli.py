@@ -8,16 +8,16 @@ Subcommands::
     smoothopt estimate-lipschitz <name>  difference-quotient Lipschitz estimate
 
 Exit codes: 0 success; 1 a validation check failed; 2 a config or argument
-error, found before anything runs; 3 an objective evaluation failed
+error, found before any seed runs; 3 an objective evaluation failed
 (non-finite value), with the seed, stage and iteration in the message.
 ``run`` and ``bench`` execute all seeds of a config in lockstep on one
 thread, one stacked objective call per SGD iteration.
 
-A config is checked whole when it is read, so every config that parses
-runs (``tests/test_config_property.py`` draws them over the whole schema):
-a bad value fails with a ``file:line:`` anchor, and the output directory is
-not created.  A run then ends in its records and exit 0, or in exit 3; any
-other error is a bug and shows its traceback.
+A config is checked whole before any seed runs (a step that takes the
+Lipschitz estimate by ``runner.resolve_plan``), so every config that parses
+runs (``tests/test_config_property.py``): a bad value fails with a
+``file:line:`` anchor, and no output directory is made.  A run ends in its
+records and exit 0, or in exit 3; any other error is a bug with a traceback.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ _FULL_BUDGET = {3: 4_040, 4: 11_256, 20: 132_264, 50: 620_620,
 def _cmd_run(args) -> int:
     try:
         csv_path, outcomes = execute_config(load_config(args.config))
-    except ConfigError as exc:  # raised by load_config, before anything runs
+    except ConfigError as exc:  # raised by load_config or resolve_plan, before any seed runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationError as exc:
@@ -106,7 +106,7 @@ def _cmd_bench(args) -> int:
     }
     try:
         csv_path, outcomes = execute_config(parse_config(data))
-    except ConfigError as exc:  # raised by parse_config, before anything runs
+    except ConfigError as exc:  # raised by parse_config or resolve_plan, before any seed runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationError as exc:

@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from ..continuation import SmoothingPlan, successive_smoothing
-from ..optimizer import WidthRule, estimate_lipschitz
+from ..optimizer import estimate_lipschitz
 from ..penalty import PenaltySpec, penalized_batch, penalized_function
 from ..problems import ProblemInstance, make_problem
 from ..smoothing import EvaluationError
-from .config import RunConfig, constraint_set, projection_set, stage_steps
+from .config import RunConfig, constraint_set, projection_set, smoothing_plan
 
 __all__ = ["RunOutcome", "execute_config", "build_problem", "resolve_plan",
            "CSV_COLUMNS", "worker_count"]
@@ -95,22 +95,13 @@ def resolve_plan(cfg: RunConfig, problem: ProblemInstance) -> SmoothingPlan:
 
     A plan's coupled widths take the step rule's ``L``; a ``schedule``'s one
     coupled stage takes the estimate and names no width (``None``).  The
-    estimate is taken at scale ``h0``, and where it is 0 -- no sampled pair saw
-    the objective change, as at a scale below a step function's distance to
-    its jump -- again at ``h_auto``, half the diameter.
+    estimate is taken at scale ``h0``, and where it is 0 (as at a scale below a
+    step function's distance to its jump) again at ``h_auto``, half the
+    diameter; :func:`config.smoothing_plan` then checks the steps with it.
     """
-    plan = cfg.plan
-    L = (_resolve_L(cfg, problem, scale=plan["h0"])
-         or _resolve_L(cfg, problem, scale=plan["h_auto"]))
-    steps = stage_steps(plan, problem.dimension, cfg.batch_size, cfg.iterations, L)
-    widths, width_rule = plan["widths"], None
-    if plan["couple_widths"]:
-        whole = plan["mode"] == "schedule"
-        width_rule = WidthRule.coupled(L=L if whole else steps[0].L, K=cfg.batch_size)
-        widths = (None,) if whole else widths
-    return SmoothingPlan(widths=widths, steps=steps, iterations=cfg.iterations,
-                         batch_size=cfg.batch_size, ravine_beta=plan["beta"],
-                         width_rule=width_rule)
+    L = (_resolve_L(cfg, problem, scale=cfg.plan["h0"])
+         or _resolve_L(cfg, problem, scale=cfg.plan["h_auto"]))
+    return smoothing_plan(cfg, problem.domain, L)
 
 
 def _run_seeds(cfg: RunConfig, problem: ProblemInstance, plan: SmoothingPlan) -> list[RunOutcome]:

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .penalty import FeasibleSet
-from .smoothing import EvaluationError, Kernel, _evaluate, _two_point_batch
+from .smoothing import EvaluationError, Kernel, _direction, _evaluate, _two_point_batch
 
 __all__ = [
     "STEP_KINDS",
@@ -415,7 +415,7 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
             vals[j], quotients = _two_point_batch(F, x, h, Y)
         except EvaluationError as err:
             raise err.with_context(iteration=t) from None
-        eta = np.add.reduce(quotients[:, :, None] * Y, axis=1) / K
+        eta = _direction(quotients, Y)
         x = X.project(x - rho * eta)
         if j + 1 == block.shape[1]:  # the chunk's last iteration
             done, xs = slice(t - j - 1, t), hist[1:j + 2, 0]

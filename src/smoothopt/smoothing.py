@@ -247,6 +247,11 @@ def _two_point_batch(F, x, h, Y):
     return f, (f[:, :K] - f[:, K:]) / (2.0 * h)
 
 
+def _direction(quotients, Y):
+    """Directions ``mean_k q_k * y_k`` ``(S, n)`` of quotients ``(S, K)`` along ``Y``."""
+    return np.add.reduce(quotients[:, :, None] * Y, axis=1) / Y.shape[1]
+
+
 def grad_estimate(F: Callable, x, kernel: Kernel, K: int,
                   rng: np.random.Generator) -> GradientEstimate:
     """Batch two-point estimate of the smoothed gradient at ``x``.
@@ -260,7 +265,7 @@ def grad_estimate(F: Callable, x, kernel: Kernel, K: int,
     x = np.asarray(x, dtype=float)
     Y = kernel.sample_directions(x.size, K, rng)
     _, quotients = _two_point_batch(F, x[None], kernel.h, Y[None])
-    direction = (quotients[0, :, None] * Y).mean(axis=0)
+    direction = _direction(quotients, Y[None])[0]
     scale = kernel.gradient_scale(x.size)
     return GradientEstimate(direction=direction,
                             unbiased_gradient=scale * direction,

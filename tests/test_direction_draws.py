@@ -7,7 +7,7 @@ from smoothopt import continuation, optimizer
 from smoothopt.continuation import SmoothingPlan, successive_smoothing
 from smoothopt.optimizer import RunRecord, Schedule, StepRule, WidthRule, sgd_run
 from smoothopt.penalty import Box
-from smoothopt.smoothing import Kernel
+from smoothopt.smoothing import Kernel, grad_estimate
 
 
 def same(a, b) -> bool:
@@ -151,3 +151,19 @@ def test_chunked_smoothing_equals_per_iteration_loop(S, K, n, T, draw_rows, kern
         assert_same_record(a, b)
     assert states(ours) == states(loop)
 
+
+@pytest.mark.parametrize("kernel", ["sphere", "gaussian"])
+@pytest.mark.parametrize("n, K", [(1, 1), (3, 7), (5, 2000)])
+def test_first_step_follows_the_grad_estimate_direction(kernel, n, K):
+    # the suites validate grad_estimate: the run must step along its direction
+    F, X = problem(n)
+    starts = X.sample(3, np.random.default_rng(n))
+    rho, h = 0.05, 0.3
+    sched = Schedule(StepRule.constant(rho), WidthRule.fixed(h))
+    batch = sgd_run(F, X, starts, sched, kernel, K, 1, [7, 8, 9])
+    for s, seed in enumerate((7, 8, 9)):
+        alone = sgd_run(F, X, starts[s], sched, kernel, K, 1, seed)
+        est = grad_estimate(F, starts[s], Kernel(kernel, h), K, np.random.default_rng(seed))
+        want = X.project(starts[s] - rho * est.direction)
+        assert same(alone.x_last, want)
+        assert same(batch.x_last[s], want)

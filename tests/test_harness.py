@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from smoothopt.harness.cli import main
 from smoothopt.harness.config import ConfigError, load_config, parse_config
 from smoothopt.harness.runner import CSV_COLUMNS, build_problem, execute_config, resolve_plan
 from smoothopt.harness.validate import gradient_suite
-from smoothopt.optimizer import step_kinds
+from smoothopt.optimizer import STEP_KINDS, step_kinds
 
 
 BASE = {
@@ -92,6 +93,15 @@ class TestConfigValidation:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         for doc in (config_module.__doc__, readme):
             assert line in " ".join(doc.split())
+
+    def test_readme_names_every_config_key(self):
+        # each key of the one table and each step parameter, as `key` or key:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+        names = {path.rsplit(".", 1)[-1] for path in config_module.KEYS}
+        names |= {name for entry in STEP_KINDS.values() for name in entry.params}
+        assert [name for name in sorted(names)
+                if not re.search(rf"(?<![\w-]){re.escape(name)}(?=`|:)", section)] == []
 
     @pytest.mark.parametrize("mode", ["plan", "schedule"])
     def test_section_must_be_a_mapping(self, mode):
@@ -639,6 +649,20 @@ class TestCli:
         assert main(["run", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {cfg}:{anchor}: step sizes must be positive and finite")
+        assert not (tmp_path / "out").exists()
+
+    def test_step_size_that_takes_the_estimate_is_checked_before_the_run(self, tmp_path,
+                                                                          capsys):
+        # alpha * h / L is known only with the Lipschitz estimate, and overflows
+        cfg = write_config(tmp_path, "\n".join([
+            "problem: {name: lsc-step-1d}", "seeds: [1]", "budget: 1000", "iterations: 5",
+            f"output: {tmp_path / 'out'}",
+            "plan: {stages: 2, step: {kind: constant-scaled, alpha: 1.7e+308}}"]))
+        assert load_config(cfg).plan["step"]["alpha"] == 1.7e308
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:6: plan.step: step sizes must be positive and "
+                              f"finite") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds, line, index", [
