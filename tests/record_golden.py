@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/record_golden.py
 
-Runs every case of the golden matrix and the ``bench polygon`` CSVs (n = 3,
-4 and 20) in a temporary directory and writes ``tests/golden_digests.json``.
+Runs every case of the golden matrix, the ``bench polygon`` CSVs (n = 3,
+4 and 20) and the ``validate`` suites in a temporary directory and writes
+``tests/golden_digests.json``.
 Run it only on a commit whose outputs are the reference; a refactor that
 must keep every output bit for bit leaves the file as it is.
 """
@@ -25,6 +26,8 @@ def main() -> None:
                 digests[name] = golden.case_digests(name)
             for name, n in sorted({**golden.BENCH, **golden.SLOW_BENCH}.items()):
                 digests[name] = golden.bench_digests(n, Path(tmp) / name)
+            for name in sorted(golden.VALIDATE):
+                digests[name] = golden.validate_digests(name)
         finally:
             os.chdir(cwd)
     golden.DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n",

@@ -6,7 +6,8 @@ box and ball constraints under both config penalties, an explicit start,
 calibration problems and a polygon.  Each case pins
 the digest of its ``results.csv`` and of each JSON run record with its
 ``wall_time`` fields removed.  The ``smoothopt bench polygon`` CSVs for
-n = 3 and 4 are pinned too, and n = 20 under ``slow``.
+n = 3 and 4 are pinned too, and n = 20 under ``slow``, as are the printed
+``Check.line()``s of every ``smoothopt validate`` suite at small sizes.
 
 The digests in ``golden_digests.json`` are written by ``record_golden.py``,
 which pytest does not run; these tests only compare.
@@ -20,6 +21,7 @@ import pytest
 from smoothopt.harness.cli import main
 from smoothopt.harness.config import parse_config
 from smoothopt.harness.runner import execute_config
+from smoothopt.harness.validate import SUITES
 from smoothopt.optimizer import step_kinds
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -106,6 +108,15 @@ CASES = {
 BENCH = {"bench-polygon-n3": 3, "bench-polygon-n4": 4}
 SLOW_BENCH = {"bench-polygon-n20": 20}
 
+# name -> (suite, its keyword arguments): gradient at the benchmark's tiny size
+VALIDATE = {
+    "validate-gradient": ("gradient", {"points": 1, "replicates": 5, "batch": 200,
+                                       "oracle_samples": 20_000}),
+    "validate-moments": ("moments", {"probes": 20_000}),
+    "validate-rate": ("rate", {"checkpoints": (100, 1000), "seeds": 4, "eval_samples": 10_000}),
+    "validate-penalty": ("penalty", {"grid": 40, "quotient_pairs": 1_000}),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -143,6 +154,13 @@ def bench_digests(n: int, output: Path) -> dict:
     return {"results.csv": _sha256((output / "results.csv").read_bytes())}
 
 
+def validate_digests(name: str) -> dict:
+    """Digest of the ``Check.line()``s that ``smoothopt validate`` prints for case ``name``."""
+    suite, kwargs = VALIDATE[name]
+    lines = "".join(check.line() + "\n" for check in SUITES[suite](**kwargs))
+    return {"lines": _sha256(lines.encode())}
+
+
 def load_digests() -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
@@ -162,6 +180,11 @@ def test_run_outputs_match_golden_digests(tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(BENCH))
 def test_bench_polygon_csv_matches_golden_digest(tmp_path, capsys, name):
     assert bench_digests(BENCH[name], tmp_path / name) == load_digests()[name]
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE))
+def test_validate_lines_match_golden_digest(name):
+    assert validate_digests(name) == load_digests()[name]
 
 
 @pytest.mark.slow
