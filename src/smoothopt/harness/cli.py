@@ -9,7 +9,8 @@ Subcommands::
 
 Exit codes: 0 success; 1 a validation check failed; 2 a config or argument
 error, found before any seed runs; 3 an objective evaluation failed
-(non-finite value), with the seed, stage and iteration in the message.
+(non-finite value) in any command, in a run with the seed, stage and
+iteration in the message.
 ``run`` and ``bench`` execute all seeds of a config in lockstep on one
 thread, one stacked objective call per SGD iteration.
 
@@ -46,9 +47,6 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:  # raised by load_config or resolve_plan, before any seed runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     print(f"wrote {csv_path} and {len(outcomes)} run records")
     for o in outcomes:
         print(f"  seed {o.seed}: best {o.row['Max. achived']!r} "
@@ -109,9 +107,6 @@ def _cmd_bench(args) -> int:
     except ConfigError as exc:  # raised by parse_config or resolve_plan, before any seed runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     best = max(float(o.row["Max. achived"]) for o in outcomes)
     ideal = outcomes[0].row["Ideal value"]
     print(f"wrote {csv_path}")
@@ -128,9 +123,11 @@ def _cmd_estimate_lipschitz(args) -> int:
     try:
         problem = make_problem(args.problem, n=args.n)
         scale = 0.5 * problem.domain.diameter if args.scale is None else args.scale
+        if not np.isfinite(2.0 * scale):  # the quotients divide by 2*scale
+            raise ValueError(f"scale must be finite when doubled, got {scale!r}")
         L = estimate_lipschitz(problem.objective_batch, problem.domain, scale,
                                np.random.default_rng(args.seed), samples=args.samples)
-    except ValueError as exc:  # a bad --n, --scale (not positive) or --samples (below 1)
+    except ValueError as exc:  # a bad --n, --scale (not positive, 2*scale inf) or --samples
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{problem.name} (dimension {problem.dimension}): "
@@ -178,7 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EvaluationError as exc:  # a non-finite objective value, in any command
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

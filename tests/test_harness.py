@@ -739,13 +739,24 @@ class TestCli:
         (["estimate-lipschitz", "l1-norm", "--n", "2", "--samples", "0"], "samples"),
         (["estimate-lipschitz", "l1-norm", "--n", "2", "--scale", "-1"], "scale"),
         (["estimate-lipschitz", "l1-norm", "--n", "2", "--scale", "0"], "scale"),
-    ], ids=["batch-size-0", "samples-0", "scale-negative", "scale-0"])
+        (["estimate-lipschitz", "l1-norm", "--n", "2", "--scale", "inf"], "scale"),
+        (["estimate-lipschitz", "l1-norm", "--n", "2", "--scale", "1e308"], "scale"),
+    ], ids=["batch-size-0", "samples-0", "scale-negative", "scale-0", "scale-inf",
+            "scale-doubled-overflows"])
     def test_bad_argument_exits_2_with_an_error_line(self, tmp_path, monkeypatch, capsys,
                                                       argv, name):
         monkeypatch.chdir(tmp_path)  # bench writes its default output directory here
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and name in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_estimate_lipschitz_evaluation_error_exits_3(self, capsys):
+        # the polygon's penalty overflows to inf at this scale's probes
+        with np.errstate(over="ignore"):
+            assert main(["estimate-lipschitz", "polygon", "--n", "3", "--scale", "1e200"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: objective returned non-finite value")
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_infeasible_start_exits_2(self, tmp_path, capsys):
