@@ -45,9 +45,7 @@ from .penalty import (
 )
 from .smoothing import (
     EvaluationError,
-    GradientEstimate,
     Kernel,
-    SmoothedValue,
     grad_estimate,
     second_moment_check,
     smoothed_value,

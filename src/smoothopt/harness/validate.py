@@ -108,9 +108,9 @@ def _estimator_mean(batch_f, x, kernel: Kernel, replicates: int, batch: int,
                     rng: np.random.Generator):
     """Mean unbiased gradient over replicate batches, with replicate-based SE."""
     means = np.empty((replicates, np.asarray(x).size))
+    scale = kernel.gradient_scale(means.shape[1])
     for r in range(replicates):
-        est = grad_estimate(batch_f, x, kernel, batch, rng)
-        means[r] = est.unbiased_gradient
+        means[r] = scale * grad_estimate(batch_f, x, kernel, batch, rng)
     return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(replicates)
 
 
@@ -249,7 +249,7 @@ def rate_suite(*, n: int = 10, K: int = 8, h: float = 0.1, D: float = 2.0,
 
     root = np.random.SeedSequence(master_seed)
     ref_rng = np.random.default_rng(root.spawn(1)[0])
-    ref = smoothed_value(f, np.zeros(n), kernel, eval_samples, ref_rng)
+    ref, _ = smoothed_value(f, np.zeros(n), kernel, eval_samples, ref_rng)
 
     children = root.spawn(seeds)
     xbar = {}
@@ -260,8 +260,8 @@ def rate_suite(*, n: int = 10, K: int = 8, h: float = 0.1, D: float = 2.0,
     gaps = {t: [] for t in checkpoints}
     for s, child in enumerate(gens):
         for t in checkpoints:
-            val = smoothed_value(f, xbar[t][s], kernel, eval_samples, child)
-            gaps[t].append(val.value - ref.value)
+            val, _ = smoothed_value(f, xbar[t][s], kernel, eval_samples, child)
+            gaps[t].append(val - ref)
 
     checks = []
     for t in checkpoints:

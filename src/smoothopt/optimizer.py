@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .penalty import FeasibleSet
-from .smoothing import EvaluationError, Kernel, _direction, _evaluate, _two_point_batch
+from .smoothing import EvaluationError, Kernel, _estimate, _evaluate
 
 __all__ = [
     "STEP_KINDS",
@@ -412,10 +412,9 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
         Y = block[:, j]
         hist[j + 1, 0] = x
         try:
-            vals[j], quotients = _two_point_batch(F, x, h, Y)
+            vals[j], eta = _estimate(F, x, h, Y)
         except EvaluationError as err:
             raise err.with_context(iteration=t) from None
-        eta = _direction(quotients, Y)
         x = X.project(x - rho * eta)
         if j + 1 == block.shape[1]:  # the chunk's last iteration
             done, xs = slice(t - j - 1, t), hist[1:j + 2, 0]

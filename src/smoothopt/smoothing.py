@@ -23,6 +23,9 @@ all probes of an iteration go to the objective in one stacked call: each
 run's ``K`` plus probes, then its ``K`` minus probes, runs in order.  The
 directions are drawn before that call, one generator per run, so a run's
 draws and values do not depend on which other runs share the call.
+``_estimate`` is that one estimator: ``sgd_run`` steps along its directions,
+:func:`grad_estimate` returns one as an ``(n,)`` array, :func:`second_moment_check`
+averages their squared norms, and :func:`smoothed_value` returns ``(value, std_error)``.
 
 The directions do not depend on the iterate or the width either, so
 :func:`smoothopt.optimizer.sgd_run` draws them per chunk of iterations: one
@@ -51,8 +54,6 @@ import numpy as np
 
 __all__ = [
     "Kernel",
-    "GradientEstimate",
-    "SmoothedValue",
     "EvaluationError",
     "grad_estimate",
     "smoothed_value",
@@ -188,29 +189,6 @@ class Kernel:
         return float(dimension) if self.variant == "sphere" else 1.0
 
 
-@dataclass(frozen=True)
-class GradientEstimate:
-    """Two-point batch estimate of a smoothed gradient.
-
-    ``direction`` is the raw batch average consumed by the SGD recursion (its
-    step-size theory absorbs the sphere kernel's ``1/n`` factor);
-    ``unbiased_gradient`` is the rescaled estimate of ``grad F_h`` for
-    diagnostics.
-    """
-
-    direction: np.ndarray
-    unbiased_gradient: np.ndarray
-    samples_used: int
-    h: float
-
-
-@dataclass(frozen=True)
-class SmoothedValue:
-    value: float
-    std_error: float
-    samples: int
-
-
 def _evaluate(F: Callable, points: np.ndarray) -> np.ndarray:
     """Evaluate the batch objective ``F`` at points stacked along the leading axes.
 
@@ -230,13 +208,14 @@ def _evaluate(F: Callable, points: np.ndarray) -> np.ndarray:
     return vals.reshape(points.shape[:-1])
 
 
-def _two_point_batch(F, x, h, Y):
-    """Probe S runs at ``x_s +- h*y`` for their directions in one stacked call.
+def _estimate(F, x, h, Y):
+    """The two-point estimator of S runs, probed in one stacked call.
 
     ``x`` holds the runs' points ``(S, n)`` and ``Y`` their directions
-    ``(S, K, n)``; each run's ``K`` plus probes go before its ``K`` minus
-    probes.  Returns their values ``(S, 2K)`` and the two-point quotients
-    ``(F(x+h*y) - F(x-h*y)) / (2h)`` ``(S, K)``.
+    ``(S, K, n)``; each run's ``K`` plus probes ``x_s + h*y`` go before its
+    ``K`` minus probes.  Returns the probe values ``(S, 2K)`` and the
+    directions ``mean_k q_k * y_k`` ``(S, n)`` of the two-point quotients
+    ``q = (F(x+h*y) - F(x-h*y)) / (2h)``.
     """
     S, K, n = Y.shape
     hY, x = h * Y, x[:, None]
@@ -244,38 +223,29 @@ def _two_point_batch(F, x, h, Y):
     np.add(x, hY, out=P[:, :K])
     np.subtract(x, hY, out=P[:, K:])
     f = _evaluate(F, P)
-    return f, (f[:, :K] - f[:, K:]) / (2.0 * h)
-
-
-def _direction(quotients, Y):
-    """Directions ``mean_k q_k * y_k`` ``(S, n)`` of quotients ``(S, K)`` along ``Y``."""
-    return np.add.reduce(quotients[:, :, None] * Y, axis=1) / Y.shape[1]
+    quotients = (f[:, :K] - f[:, K:]) / (2.0 * h)
+    return f, np.add.reduce(quotients[:, :, None] * Y, axis=1) / K
 
 
 def grad_estimate(F: Callable, x, kernel: Kernel, K: int,
-                  rng: np.random.Generator) -> GradientEstimate:
-    """Batch two-point estimate of the smoothed gradient at ``x``.
+                  rng: np.random.Generator) -> np.ndarray:
+    """The direction ``eta`` ``(n,)`` that an SGD step at ``x`` moves against.
 
-    Performs exactly ``2 * K`` objective evaluations (the probe points
-    ``x +- h*y`` for ``K`` independent directions ``y``), in one call of the
-    batch objective ``F`` on a ``(2K, n)`` array, plus probes first.
+    The S = 1 call of :func:`smoothopt.optimizer.sgd_run`'s estimator: ``2 * K``
+    evaluations (probes ``x +- h*y`` for ``K`` kernel directions ``y``) in one
+    call of the batch objective ``F``, plus probes first.  The unbiased
+    estimate of ``grad F_h(x)`` is ``kernel.gradient_scale(n) * eta``.
     """
     if K < 1:
         raise ValueError("batch size K must be at least 1")
     x = np.asarray(x, dtype=float)
     Y = kernel.sample_directions(x.size, K, rng)
-    _, quotients = _two_point_batch(F, x[None], kernel.h, Y[None])
-    direction = _direction(quotients, Y[None])[0]
-    scale = kernel.gradient_scale(x.size)
-    return GradientEstimate(direction=direction,
-                            unbiased_gradient=scale * direction,
-                            samples_used=K,
-                            h=kernel.h)
+    return _estimate(F, x[None], kernel.h, Y[None])[1][0]
 
 
 def smoothed_value(F: Callable, x, kernel: Kernel, N: int,
-                   rng: np.random.Generator) -> SmoothedValue:
-    """Monte-Carlo estimate of ``F_h(x) = E F(x + h*z)`` with its standard error.
+                   rng: np.random.Generator) -> tuple[float, float]:
+    """Monte-Carlo estimate ``(value, std_error)`` of ``F_h(x) = E F(x + h*z)``.
 
     The sphere kernel draws ``z`` uniformly in the unit ball (not on the
     sphere): that is the measure whose gradient the two-point sphere estimator
@@ -290,21 +260,21 @@ def smoothed_value(F: Callable, x, kernel: Kernel, N: int,
     vals = _evaluate(F, Z)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(N)) if N > 1 else float("nan")
-    return SmoothedValue(value=mean, std_error=se, samples=N)
+    return mean, se
 
 
 def second_moment_check(F: Callable, x, kernel: Kernel, K_probe: int,
                         rng: np.random.Generator) -> float:
     """Empirical mean of the squared norm of single two-point samples.
 
-    Estimates ``E || (F(x+h*y) - F(x-h*y)) / (2h) * y ||^2`` over `K_probe`
-    independent directions; used to check the kernel-dependent variance bounds
-    of the step-size theory.
+    Estimates ``E || (F(x+h*y) - F(x-h*y)) / (2h) * y ||^2`` from the
+    directions of `K_probe` K = 1 runs at ``x`` of the SGD recursion's
+    estimator, in one stacked call; used to check the kernel-dependent
+    variance bounds of the step-size theory.
     """
     if K_probe < 1:
         raise ValueError("K_probe must be at least 1")
     x = np.asarray(x, dtype=float)
     Y = kernel.sample_directions(x.size, K_probe, rng)
-    _, quotients = _two_point_batch(F, x[None], kernel.h, Y[None])
-    sq_norms = quotients[0] ** 2 * _row_sum(np.square, Y)
-    return float(sq_norms.mean())
+    _, directions = _estimate(F, np.broadcast_to(x, Y.shape), kernel.h, Y[:, None])
+    return float(_row_sum(np.square, directions).mean())

@@ -7,7 +7,8 @@ from smoothopt import continuation, optimizer
 from smoothopt.continuation import SmoothingPlan, successive_smoothing
 from smoothopt.optimizer import RunRecord, Schedule, StepRule, WidthRule, sgd_run
 from smoothopt.penalty import Box
-from smoothopt.smoothing import Kernel, grad_estimate
+from smoothopt.problems import calibration
+from smoothopt.smoothing import Kernel, _row_sum, grad_estimate, second_moment_check
 
 
 def same(a, b) -> bool:
@@ -163,7 +164,20 @@ def test_first_step_follows_the_grad_estimate_direction(kernel, n, K):
     batch = sgd_run(F, X, starts, sched, kernel, K, 1, [7, 8, 9])
     for s, seed in enumerate((7, 8, 9)):
         alone = sgd_run(F, X, starts[s], sched, kernel, K, 1, seed)
-        est = grad_estimate(F, starts[s], Kernel(kernel, h), K, np.random.default_rng(seed))
-        want = X.project(starts[s] - rho * est.direction)
+        eta = grad_estimate(F, starts[s], Kernel(kernel, h), K, np.random.default_rng(seed))
+        want = X.project(starts[s] - rho * eta)
         assert same(alone.x_last, want)
         assert same(batch.x_last[s], want)
+
+
+@pytest.mark.parametrize("kernel", ["sphere", "gaussian"])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_second_moment_check_measures_the_run_estimator(kernel, n):
+    # validate moments checks second_moment_check: it must be the mean of the
+    # squared norms of P single-direction grad_estimate calls on one stream
+    F, x, P = calibration("l1-norm", n).batch, np.full(n, 0.5), 2000
+    got = second_moment_check(F, x, Kernel(kernel, 0.05), P, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    norms = [_row_sum(np.square, grad_estimate(F, x, Kernel(kernel, 0.05), 1, rng))
+             for _ in range(P)]
+    assert same(got, float(np.mean(norms)))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from smoothopt.optimizer import Schedule, StepRule, WidthRule, sgd_run
 from smoothopt.penalty import Box
 from smoothopt.problems import PolygonProblem, make_problem
-from smoothopt.smoothing import _two_point_batch
+from smoothopt.smoothing import _estimate
 
 
 def bits(a) -> np.ndarray:
@@ -172,10 +172,11 @@ def test_probes_equal_concatenated_formula(S, K, n, h, seed):
     rng = np.random.default_rng(seed)
     x, Y = rng.normal(size=(S, n)), rng.normal(size=(S, K, n))
     seen = []
-    f, q = _two_point_batch(lambda Z: seen.append(Z.copy()) or Z.sum(axis=1), x, h, Y)
+    f, eta = _estimate(lambda Z: seen.append(Z.copy()) or Z.sum(axis=1), x, h, Y)
     hY = h * Y
     want = np.concatenate([x[:, None, :] + hY, x[:, None, :] - hY], axis=1)
     assert len(seen) == 1
     assert np.array_equal(bits(seen[0]), bits(want.reshape(-1, n)))
     assert np.array_equal(bits(f), bits(seen[0].sum(axis=1).reshape(S, 2 * K)))
-    assert np.array_equal(bits(q), bits((f[:, :K] - f[:, K:]) / (2.0 * h)))
+    q = (f[:, :K] - f[:, K:]) / (2.0 * h)
+    assert np.array_equal(bits(eta), bits((q[:, :, None] * Y).sum(axis=1) / K))

@@ -179,8 +179,8 @@ def trajectory_rate_gaps(*, n, K, h, D, C, checkpoints, seeds, eval_samples, mas
     schedule = Schedule(step, WidthRule.fixed(h))
     kernel = Kernel.sphere(h)
     root = np.random.SeedSequence(master_seed)
-    ref = smoothed_value(f, np.zeros(n), kernel, eval_samples,
-                         np.random.default_rng(root.spawn(1)[0]))
+    ref, _ = smoothed_value(f, np.zeros(n), kernel, eval_samples,
+                            np.random.default_rng(root.spawn(1)[0]))
     T = max(checkpoints)
     rho = step.value(np.arange(1, T + 1))
     gaps = []
@@ -192,8 +192,8 @@ def trajectory_rate_gaps(*, n, K, h, D, C, checkpoints, seeds, eval_samples, mas
         csum = np.cumsum(rho[:, None] * np.array(iterates)[:, 0], axis=0)
         rsum = np.cumsum(rho)
         for t in checkpoints:
-            val = smoothed_value(f, csum[t - 1] / rsum[t - 1], kernel, eval_samples, child)
-            gaps.append(val.value - ref.value)
+            val, _ = smoothed_value(f, csum[t - 1] / rsum[t - 1], kernel, eval_samples, child)
+            gaps.append(val - ref)
     return gaps
 
 
@@ -205,7 +205,7 @@ def test_rate_suite_equals_the_trajectory_loop(monkeypatch):
 
     def recorded(*args):
         val = smoothed_value(*args)
-        values.append(val.value)
+        values.append(val[0])
         return val
 
     monkeypatch.setattr(validate, "smoothed_value", recorded)
