@@ -52,9 +52,7 @@ from .smoothing import (
 )
 from .optimizer import (
     RunRecord,
-    Schedule,
     StepRule,
-    WidthRule,
     estimate_lipschitz,
     sgd_run,
     rate_bound,

@@ -8,9 +8,12 @@ extrapolates through the last two stage minimizers (the valley direction):
 ``start = project_X(x_curr + beta * (x_curr - x_prev))``.
 
 Each stage's multi-step SGD run *is* the local descent of the classical
-ravine method, and its :class:`~smoothopt.optimizer.RunRecord` is the
-stage's whole record: the start, the weighted average the next stage
-extrapolates through, and the best probe.  Stages are sequential by
+ravine method.  It steps with the two arrays :meth:`SmoothingPlan.values`
+gives, the step sizes ``rho_t`` and the widths ``h_t`` (the stage's own, or
+coupled as ``h_t = L * rho_t / K``).  Its
+:class:`~smoothopt.optimizer.RunRecord` is the stage's whole record: the
+start, the weighted average the next stage extrapolates through, and the
+best probe.  Stages are sequential by
 definition; independent restarts run in lockstep, one stacked objective call
 per SGD iteration for all of them (see :func:`smoothopt.optimizer.sgd_run`).
 """
@@ -23,7 +26,7 @@ import numpy as np
 
 from .penalty import FeasibleSet
 from .smoothing import EvaluationError
-from .optimizer import RunRecord, Schedule, StepRule, WidthRule, _lockstep_starts, sgd_run
+from .optimizer import RunRecord, StepRule, _full_like, _lockstep_starts, sgd_run
 
 __all__ = [
     "SmoothingPlan",
@@ -51,10 +54,10 @@ class SmoothingPlan:
 
     ``widths`` must be strictly decreasing.  ``steps`` gives one step rule per
     stage (a single rule may be broadcast).  Each stage holds its width fixed,
-    unless a ``width_rule`` sets the width within every stage, such as the
-    coupled ``h_t = L * rho_t / K`` (:meth:`WidthRule.coupled`).  The widths
-    then only label the stages, and a one-stage plan may label its stage
-    ``None``.
+    unless ``coupled_L`` couples the width to the step size within every
+    stage, ``h_t = coupled_L * rho_t / batch_size``.  The widths then only
+    label the stages, and a one-stage plan may label its stage ``None``.
+    :meth:`values` gives a stage's step sizes and widths.
     """
 
     widths: tuple[float | None, ...]
@@ -62,11 +65,11 @@ class SmoothingPlan:
     iterations: int
     batch_size: int
     ravine_beta: float = 1.0
-    width_rule: WidthRule | None = None
+    coupled_L: float | None = None
 
     def __post_init__(self):
         widths = tuple(self.widths)
-        if widths != (None,) or self.width_rule is None:
+        if widths != (None,) or self.coupled_L is None:
             widths = tuple(float(h) for h in widths)
             if len(widths) < 1:
                 raise ValueError("plan needs at least one stage width")
@@ -90,9 +93,14 @@ class SmoothingPlan:
     def stages(self) -> int:
         return len(self.widths)
 
-    def schedule(self, stage: int) -> Schedule:
-        width = WidthRule.fixed(self.widths[stage]) if self.width_rule is None else self.width_rule
-        return Schedule(step=self.steps[stage], width=width)
+    def values(self, stage: int, t):
+        """Step size and width ``(rho_t, h_t)`` of ``stage`` at iteration ``t >= 1``, or
+        arrays of them for an integer array ``t``; a value that overflows reads inf."""
+        with np.errstate(all="ignore"):  # an overflow is what the callers check for
+            rho = self.steps[stage].value(t)
+            if self.coupled_L is None:
+                return rho, _full_like(t, self.widths[stage])
+            return rho, self.coupled_L * rho / self.batch_size
 
 
 @dataclass
@@ -158,9 +166,9 @@ def successive_smoothing(F: Callable, X: FeasibleSet, plan: SmoothingPlan,
         else:
             start = ravine_start(stages[s - 2].weighted_average, stages[s - 1].weighted_average,
                                  plan.ravine_beta, X)
+        rho, h = plan.values(s, np.arange(1, plan.iterations + 1))
         try:
-            record = sgd_run(F, X, start, plan.schedule(s), kernel,
-                             plan.batch_size, plan.iterations, gens)
+            record = sgd_run(F, X, start, rho, h, kernel, plan.batch_size, gens)
         except EvaluationError as err:
             raise err.with_context(stage=s) from None
         better = record.best_value < best_value

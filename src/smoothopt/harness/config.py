@@ -20,7 +20,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ..continuation import SmoothingPlan, geometric_widths
-from ..optimizer import ITERATE_TOL, STEP_KINDS, StepRule, WidthRule, step_kinds
+from ..optimizer import ITERATE_TOL, STEP_KINDS, StepRule, step_kinds
 from ..penalty import Ball, Box, FeasibleSet, PenaltySpec
 from ..problems import make_problem, problem_names, problem_parameters
 
@@ -328,10 +328,11 @@ def _check_problem(c: _Checker) -> tuple[str, dict]:
     c.keys("problem", ["name", *problem_parameters(name)], f"parameter of {name!r}")
     params = {key: v for key in problem_parameters(name)  # an absent parameter reads None
               if (v := c.read(f"problem.{key}", problem_key(name, key))) is not None}
-    n = params.get("n")
-    if n is not None and name != "polygon" and make_problem(name, n=n).dimension != n:
-        # a 1-D calibration function would ignore it
-        c.fail("problem.n", f"{name!r} is {make_problem(name).dimension}-dimensional, got n = {n}")
+    if name != "polygon" and "n" in params:
+        try:
+            make_problem(name, n=params["n"])
+        except ValueError as err:  # an n that a 1-D calibration function would ignore
+            c.fail("problem.n", str(err))
     return name, params
 
 
@@ -427,16 +428,15 @@ def smoothing_plan(cfg: RunConfig, domain: Box, L: float | None = None) -> Smoot
                       for h, D in zip(plan["widths"], plan["D"]))
     except ValueError as err:  # a field the rule needs is 0, or rounds to it
         c.fail(where, f"step sizes must be positive and finite: {err}")
-    widths, width_rule = plan["widths"], None
+    widths, coupled_L = plan["widths"], None
     if plan["couple_widths"]:
-        width_rule = WidthRule.coupled(L=L if whole else steps[0].L, K=K)
+        coupled_L = L if whole else steps[0].L
         widths = (None,) if whole else widths
     out = SmoothingPlan(widths=widths, steps=steps, iterations=T, batch_size=K,
-                        ravine_beta=plan["beta"], width_rule=width_rule)
+                        ravine_beta=plan["beta"], coupled_L=coupled_L)
     reach = max(1.0, float(np.max(np.abs([domain.lower, domain.upper]))))
     for s in range(out.stages):
-        with np.errstate(all="ignore"):  # an overflow is what is checked
-            rho, h = (v.tolist() for v in out.schedule(s).values(np.array([1, T])))
+        rho, h = (v.tolist() for v in out.values(s, np.array([1, T])))
         if not (0 < min(rho) and T * max(rho) * reach < math.inf and _NORMAL <= min(h)
                 and max(max(h), max(rho) * (L or 0)) <= 2.0 ** 52 * reach):
             c.fail(where, f"step sizes must be positive and finite, also summed over T steps "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..optimizer import StepRule, Schedule, WidthRule, sgd_run, rate_bound
+from ..optimizer import StepRule, sgd_run, rate_bound
 from ..penalty import Ball, Box, FeasibleSet, PenaltySpec, _row_norms, penalized_batch
 from ..problems import calibration
 from ..smoothing import Kernel, _order, grad_estimate, second_moment_check, smoothed_value
@@ -243,8 +243,8 @@ def rate_suite(*, n: int = 10, K: int = 8, h: float = 0.1, D: float = 2.0,
     L = math.sqrt(n)
     f = calibration("l1-norm", n).batch
     X = Ball(np.zeros(n), 1.0)
-    step = StepRule("sphere-decaying", D=D, L=L, n=n, K=K, C=C)
-    schedule = Schedule(step=step, width=WidthRule.fixed(h))
+    rho = StepRule("sphere-decaying", D=D, L=L, n=n, K=K, C=C).value(
+        np.arange(1, max(checkpoints) + 1))
     kernel = Kernel.sphere(h)
 
     root = np.random.SeedSequence(master_seed)
@@ -256,7 +256,7 @@ def rate_suite(*, n: int = 10, K: int = 8, h: float = 0.1, D: float = 2.0,
     for t in sorted(checkpoints):  # the longest run last: its generators go on
         gens = [np.random.default_rng(ss) for ss in children]
         x1 = np.array([X.sample(1, g)[0] for g in gens])
-        xbar[t] = sgd_run(f, X, x1, schedule, "sphere", K, t, gens).weighted_average
+        xbar[t] = sgd_run(f, X, x1, rho[:t], h, "sphere", K, gens).weighted_average
     gaps = {t: [] for t in checkpoints}
     for s, child in enumerate(gens):
         for t in checkpoints:

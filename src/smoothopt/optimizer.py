@@ -7,9 +7,11 @@ The iterate recursion is ``x_{t+1} = project_X(x_t - rho_t * eta_t)`` where
 the feasible set of the original constrained problem: the penalized objective
 must be allowed to be active inside ``X``.
 
-Step-size and smoothing-width rules follow the known convergence guarantees
-for convex Lipschitz objectives; :func:`rate_bound` evaluates the matching
-right-hand sides so empirical rates can be checked against them.
+Step-size rules follow the known convergence guarantees for convex Lipschitz
+objectives; :func:`rate_bound` evaluates the matching right-hand sides so
+empirical rates can be checked against them.  :func:`sgd_run` takes a run's
+step sizes and widths as arrays over ``t = 1..T``, which
+:meth:`smoothopt.continuation.SmoothingPlan.values` computes for a stage.
 
 A run is inherently sequential in ``t``, but independent runs are not:
 :func:`sgd_run` advances S runs in lockstep, with one stacked objective call
@@ -22,9 +24,9 @@ run for a chunk of iterations, in run order, written in place into that run's
 slice of one chunk array, and never beyond the run's last iteration.
 ``Generator.standard_normal`` fills arrays in stream order, so a chunk holds
 the same numbers as per-iteration draws and leaves the generator in the same
-state.  Step sizes and widths are likewise evaluated once per run,
-as arrays over ``t = 1..T``, and each iteration writes its probes into one
-fresh ``(S, 2K, n)`` array, since per-call numpy overhead is its main cost.
+state.  Step sizes and widths likewise come in once per run, as arrays,
+and each iteration writes its probes into one fresh ``(S, 2K, n)`` array,
+since per-call numpy overhead is its main cost.
 
 For the same reason an iteration keeps no running sums and no best probe: it
 stores its iterate and its ``2K`` values per run, and the bookkeeping waits
@@ -52,8 +54,6 @@ __all__ = [
     "STEP_KINDS",
     "step_kinds",
     "StepRule",
-    "WidthRule",
-    "Schedule",
     "RunRecord",
     "rate_bound",
     "sgd_run",
@@ -218,47 +218,6 @@ def _full_like(t, value):
     return value if np.ndim(t) == 0 else np.full(np.shape(t), value)
 
 
-@dataclass(frozen=True)
-class WidthRule:
-    """Smoothing width ``h_t``: fixed, or coupled as ``h_t = L * rho_t / K``."""
-
-    kind: str
-    h: float | None = None
-    L: float | None = None
-    K: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "coupled"):
-            raise ValueError("width rule must be 'fixed' or 'coupled'")
-        if self.kind == "fixed" and (self.h is None or not self.h > 0):
-            raise ValueError("fixed width rule needs h > 0")
-        if self.kind == "coupled" and (self.L is None or self.K is None):
-            raise ValueError("coupled width rule needs L and K")
-
-    @classmethod
-    def fixed(cls, h: float) -> "WidthRule":
-        return cls("fixed", h=h)
-
-    @classmethod
-    def coupled(cls, L: float, K: int) -> "WidthRule":
-        return cls("coupled", L=L, K=K)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A step rule paired with a width rule."""
-
-    step: StepRule
-    width: WidthRule
-
-    def values(self, t):
-        """Step size and width ``(rho_t, h_t)`` at iteration ``t >= 1``, or arrays of them."""
-        rho = self.step.value(t)
-        if self.width.kind == "fixed":
-            return rho, _full_like(t, self.width.h)
-        return rho, self.width.L * rho / self.width.K
-
-
 def rate_bound(which: str, *, D: float, L: float, n: int, K: int, C: float = 1.0,
                   t: int) -> float:
     """Right-hand side of the convergence guarantee for the named regime.
@@ -343,16 +302,17 @@ def _lockstep_starts(x1, rng) -> tuple[np.ndarray, tuple, bool]:
     return x, tuple(rng), False
 
 
-def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
-            K: int, T: int, rng) -> RunRecord:
-    """Run ``T`` projected two-point SGD steps from ``x1`` inside ``X``.
+def sgd_run(F: Callable, X: FeasibleSet, x1, rho, h, kernel: str, K: int, rng) -> RunRecord:
+    """Run ``T = len(rho)`` projected two-point SGD steps from ``x1`` inside ``X``.
 
+    Step ``t`` moves by ``rho[t-1]`` and probes at width ``h[t-1]``: ``rho`` is
+    a 1-D array of the ``T`` step sizes, ``h`` one width or ``T`` of them.
     The batch objective ``F`` must be defined on the probes ``x_t +- h_t * y``,
     which may leave ``X``.  Returns the plain average ``mean(x_1..x_T)``, the
     step-weighted average ``sum(rho_t x_t)/sum(rho_t)`` and the best probe
     seen.  Exactly ``2*K*T`` objective evaluations are performed, and
     identical seeds reproduce the record bit for bit.  The averages at an
-    earlier ``t`` are those of a run of ``t`` steps from the same start and rng.
+    earlier ``t`` are those of a run of ``rho[:t]`` from the same start and rng.
 
     ``x1`` of shape ``(S, n)`` starts S runs, with ``rng`` a sequence of S
     seeds or generators, one per run; they advance in lockstep and the result
@@ -363,30 +323,30 @@ def sgd_run(F: Callable, X: FeasibleSet, x1, schedule: Schedule, kernel: str,
     equals that of the same run alone, bit for bit, when ``F`` and
     ``X.project`` treat rows independently.  A start ``(n,)`` is the case
     S = 1.  ``kernel`` names the direction law, ``"sphere"`` or ``"gaussian"``;
-    a :class:`Kernel`, whose width the schedule would override, raises
-    ``TypeError``.  ``schedule`` gives every ``rho_t`` and ``h_t`` in one
-    array call up front, so a fixed rule's horizon below ``T``, a step size
-    or a width that is not positive and finite raises ``ValueError`` before
-    any evaluation, as a bad start does.
+    a :class:`Kernel`, whose width ``h`` would override, raises ``TypeError``.
+    A ``rho`` that is not 1-D and non-empty, an ``h`` of another length, a
+    step size or a width that is not positive and finite raises
+    ``ValueError`` before any evaluation, as a bad start does.
     """
-    if T < 1:
-        raise ValueError("iteration count T must be at least 1")
+    rhos = np.asarray(rho, dtype=float)
+    T = len(rhos) if rhos.ndim == 1 else 0
+    if T < 1 or np.ndim(h) and np.shape(h) != (T,):
+        raise ValueError(f"need a 1-D rho of T >= 1 step sizes and one width h or T of them, "
+                         f"got shapes {rhos.shape} and {np.shape(h)}")
+    hs = np.broadcast_to(np.asarray(h, dtype=float), (T,))
     if K < 1:
         raise ValueError("batch size K must be at least 1")
     x, rng, single = _lockstep_starts(x1, rng)
     if not np.all(np.isfinite(x)) or \
             np.any(np.linalg.norm(x - X.project(x), axis=-1) > ITERATE_TOL):
         raise ValueError("starting point x1 must lie in the projection set X")
-    with np.errstate(all="ignore"):  # a value that overflows is rejected below
-        rhos, hs = schedule.values(np.arange(1, T + 1))
     if not np.all((rhos > 0) & (rhos < np.inf)):
         raise ValueError("step sizes rho_t must be positive and finite")
     if not np.all((hs > 0) & (hs < np.inf)):  # a coupled width is L * rho / K, L maybe 0
         raise ValueError("kernel width h must be positive and finite")
     if isinstance(kernel, Kernel):
         raise TypeError(f"kernel must name a direction law such as {kernel.variant!r}, not be a "
-                        f"Kernel: its width h = {kernel.h} would be ignored, as the schedule "
-                        f"sets every width")
+                        f"Kernel: its width h = {kernel.h} would be ignored, as h sets every width")
     draw = Kernel(kernel, 1.0).sample_directions
     gens, seeds = zip(*map(_as_rng, rng))
 
@@ -480,6 +440,7 @@ def estimate_lipschitz(F: Callable, region: FeasibleSet, scale: float,
     pts = region.sample(samples, gen)
     dirs = Kernel.sphere(scale).sample_directions(pts.shape[1], samples, gen)
     step = scale * dirs
-    vals = _evaluate(F, np.concatenate([pts + step, pts - step]))
+    with np.errstate(over="ignore"):  # an objective that overflows raises EvaluationError
+        vals = _evaluate(F, np.concatenate([pts + step, pts - step]))
     quotients = np.abs(vals[:samples] - vals[samples:]) / (2.0 * scale)
     return safety * float(quotients.max())

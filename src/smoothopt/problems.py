@@ -304,6 +304,8 @@ def make_problem(name: str, n: int | None = None, **kwargs) -> ProblemInstance:
             parameters=(("n", n),),
         )
     cal = calibration(name, n if n is not None else 1)
+    if n is not None and n != cal.dimension:  # a 1-D calibration function would ignore it
+        raise ValueError(f"{name!r} is {cal.dimension}-dimensional, got n = {n}")
     return ProblemInstance(
         name=cal.name, dimension=cal.dimension,
         objective=cal.fn, objective_batch=cal.batch,

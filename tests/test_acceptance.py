@@ -205,8 +205,6 @@ class TestGlobalProperty:
         steps = tuple(so.StepRule.constant(alpha * h) for h in widths)
         plan = so.SmoothingPlan(widths=widths, steps=steps, iterations=T,
                                 batch_size=1, ravine_beta=1.0)
-        single_schedule = so.Schedule(so.StepRule.constant(alpha * h0),
-                                      so.WidthRule.fixed(widths[-1]))
         successive_hits = single_hits = 0
         for ss in np.random.SeedSequence(303).spawn(20):
             rng = np.random.default_rng(ss)
@@ -214,8 +212,8 @@ class TestGlobalProperty:
             multi = so.successive_smoothing(f, X, plan, "sphere", x0, rng)
             successive_hits += abs(multi.best_point[0] - 1.0) <= 0.1
             # same start, same total budget, smallest width only
-            single = so.sgd_run(f, X, x0, single_schedule, "sphere", 1,
-                                stages * T, rng)
+            single = so.sgd_run(f, X, x0, np.full(stages * T, alpha * h0), widths[-1],
+                                "sphere", 1, rng)
             single_hits += abs(single.best_point[0] - 1.0) <= 0.1
         elapsed = time.perf_counter() - t0
         ok = successive_hits >= 18 and single_hits <= 10 and elapsed < 60.0

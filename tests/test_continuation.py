@@ -7,7 +7,7 @@ from smoothopt.continuation import (
     ravine_start,
     successive_smoothing,
 )
-from smoothopt.optimizer import Schedule, StepRule, WidthRule, sgd_run
+from smoothopt.optimizer import StepRule, sgd_run
 from smoothopt.penalty import Box
 from smoothopt.smoothing import Kernel
 
@@ -57,13 +57,11 @@ class TestSmoothingPlan:
                              iterations=10, batch_size=1)
         assert len(plan.steps) == 3
 
-    def test_stage_schedule_uses_planned_width(self):
+    def test_stage_values_use_planned_width(self):
         plan = SmoothingPlan(widths=(1.0, 0.5), steps=(StepRule.constant(0.1),),
                              iterations=5, batch_size=1)
         for s, h in enumerate(plan.widths):
-            sched = plan.schedule(s)
-            assert sched.width.kind == "fixed"
-            assert sched.values(3) == (0.1, h)
+            assert plan.values(s, 3) == (0.1, h)
 
 
 def test_package_quick_start_runs(capsys):
@@ -102,19 +100,19 @@ class TestSuccessiveSmoothing:
         x0 = np.array([2.0, -1.0])
         res = successive_smoothing(l1_batch, X2, plan, "sphere", x0,
                                    np.random.default_rng(3))
-        rec = sgd_run(l1_batch, X2, x0, Schedule(plan.steps[0], WidthRule.fixed(0.5)),
-                      "sphere", 2, 60, np.random.default_rng(3))
+        rec = sgd_run(l1_batch, X2, x0, np.full(60, 0.05), 0.5, "sphere", 2,
+                      np.random.default_rng(3))
         assert res.best_value == rec.best_value
         np.testing.assert_array_equal(res.stages[0].weighted_average, rec.weighted_average)
         assert res.evaluations == rec.evaluations
 
     def test_coupled_one_stage_plan_matches_sgd_run_and_names_no_width(self):
-        coupled = WidthRule.coupled(L=2.0, K=2)
         plan = SmoothingPlan(widths=(None,), steps=(StepRule("sphere-decaying", D=4, L=3, n=2, K=2),),
-                             iterations=50, batch_size=2, width_rule=coupled)
+                             iterations=50, batch_size=2, coupled_L=2.0)
+        rho = plan.steps[0].value(np.arange(1, 51))
         x0 = np.array([2.0, -1.0])
         res = successive_smoothing(l1_batch, X2, plan, "gaussian", x0, np.random.default_rng(3))
-        rec = sgd_run(l1_batch, X2, x0, Schedule(plan.steps[0], coupled), "gaussian", 2, 50,
+        rec = sgd_run(l1_batch, X2, x0, rho, 2.0 * rho / 2, "gaussian", 2,
                       np.random.default_rng(3))
         assert res.best_value == rec.best_value and plan.widths == (None,)
         np.testing.assert_array_equal(res.stages[0].weighted_average, rec.weighted_average)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from smoothopt import continuation, optimizer
 from smoothopt.continuation import SmoothingPlan, successive_smoothing
-from smoothopt.optimizer import RunRecord, Schedule, StepRule, WidthRule, sgd_run
+from smoothopt.optimizer import RunRecord, StepRule, sgd_run
 from smoothopt.penalty import Box
 from smoothopt.problems import calibration
 from smoothopt.smoothing import Kernel, _row_sum, grad_estimate, second_moment_check
@@ -17,7 +17,7 @@ def same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, iterates=None):
+def loop_sgd_run(F, X, x1, rhos, widths, kernel, K, rng, *, iterates=None):
     """``sgd_run`` with one direction draw per run and iteration, as before chunking.
 
     Takes a batch objective and the same arguments as ``sgd_run``.  A list
@@ -29,10 +29,10 @@ def loop_sgd_run(F, X, x1, schedule, kernel, K, T, rng, *, iterates=None):
         x, rng = x[None], (rng,)
     gens, seeds = zip(*map(optimizer._as_rng, rng))
     S, dim = x.shape
+    T, hs = len(rhos), np.broadcast_to(widths, np.shape(rhos))
     sum_x, sum_rho_x, sum_rho = np.zeros((S, dim)), np.zeros((S, dim)), 0.0
     best_value, best_point, x_first = np.full(S, np.inf), x.copy(), x.copy()
-    for t in range(1, T + 1):
-        rho, h = schedule.values(t)
+    for rho, h in zip(rhos, hs):
         if iterates is not None:
             iterates.append(x)
         sum_x += x
@@ -117,13 +117,14 @@ def test_chunked_sgd_run_equals_per_iteration_loop(S, K, n, T, draw_rows, kernel
     step = (StepRule.constant(0.4) if kind == "constant" else
             StepRule(kind, D=2.0, L=3.0, n=n, K=K, C=1.5,
                      T=T if kind.endswith("-fixed") else None))
-    sched = Schedule(step, WidthRule.coupled(L=3.0, K=K) if coupled else WidthRule.fixed(0.3))
+    rho = step.value(np.arange(1, T + 1))
+    h = 3.0 * rho / K if coupled else 0.3
     ours = [np.random.default_rng(seed + s) for s in range(S)]
     loop = [np.random.default_rng(seed + s) for s in range(S)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "_DRAW_ROWS", draw_rows)
-        got = sgd_run(F, X, starts, sched, kernel, K, T, ours)
-    want = loop_sgd_run(F, X, starts, sched, kernel, K, T, loop)
+        got = sgd_run(F, X, starts, rho, h, kernel, K, ours)
+    want = loop_sgd_run(F, X, starts, rho, h, kernel, K, loop)
     assert_same_record(got, want)
     assert states(ours) == states(loop)
     # the generator goes on exactly where the loop's does
@@ -160,10 +161,9 @@ def test_first_step_follows_the_grad_estimate_direction(kernel, n, K):
     F, X = problem(n)
     starts = X.sample(3, np.random.default_rng(n))
     rho, h = 0.05, 0.3
-    sched = Schedule(StepRule.constant(rho), WidthRule.fixed(h))
-    batch = sgd_run(F, X, starts, sched, kernel, K, 1, [7, 8, 9])
+    batch = sgd_run(F, X, starts, [rho], h, kernel, K, [7, 8, 9])
     for s, seed in enumerate((7, 8, 9)):
-        alone = sgd_run(F, X, starts[s], sched, kernel, K, 1, seed)
+        alone = sgd_run(F, X, starts[s], [rho], h, kernel, K, seed)
         eta = grad_estimate(F, starts[s], Kernel(kernel, h), K, np.random.default_rng(seed))
         want = X.project(starts[s] - rho * eta)
         assert same(alone.x_last, want)

@@ -336,6 +336,7 @@ class TestConfigValidation:
         ({"name": "l1-norm", "n": 2, "p1": 3}, "problem.p1", "unknown parameter of 'l1-norm'"),
         ({"name": "l1-norm", "n": 2.5}, "problem.n", "expected an integer"),
         ({"name": "two-well-1d", "n": 5}, "problem.n", "1-dimensional, got n = 5"),
+        ({"name": "lsc-step-1d", "n": 2}, "problem.n", "1-dimensional, got n = 2"),
         ({"name": "polygon", "n": None}, "problem.n", "expected a number"),
         ({"name": "polygon", "n": 3, "p1": 0}, "problem.p1", "positive"),
         ({"name": "polygon", "n": 3, "p3": float("inf")}, "problem.p3", "positive and finite"),
@@ -741,8 +742,9 @@ class TestCli:
         (["estimate-lipschitz", "l1-norm", "--n", "2", "--scale", "0"], "scale"),
         (["estimate-lipschitz", "l1-norm", "--n", "2", "--scale", "inf"], "scale"),
         (["estimate-lipschitz", "l1-norm", "--n", "2", "--scale", "1e308"], "scale"),
+        (["estimate-lipschitz", "two-well-1d", "--n", "5"], "1-dimensional, got n = 5"),
     ], ids=["batch-size-0", "samples-0", "scale-negative", "scale-0", "scale-inf",
-            "scale-doubled-overflows"])
+            "scale-doubled-overflows", "n-on-a-1-d-problem"])
     def test_bad_argument_exits_2_with_an_error_line(self, tmp_path, monkeypatch, capsys,
                                                       argv, name):
         monkeypatch.chdir(tmp_path)  # bench writes its default output directory here
@@ -753,8 +755,7 @@ class TestCli:
 
     def test_estimate_lipschitz_evaluation_error_exits_3(self, capsys):
         # the polygon's penalty overflows to inf at this scale's probes
-        with np.errstate(over="ignore"):
-            assert main(["estimate-lipschitz", "polygon", "--n", "3", "--scale", "1e200"]) == 3
+        assert main(["estimate-lipschitz", "polygon", "--n", "3", "--scale", "1e200"]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: objective returned non-finite value")
         assert "Traceback" not in captured.err and captured.out == ""

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothopt.optimizer import Schedule, StepRule, WidthRule, sgd_run
+from smoothopt.continuation import SmoothingPlan, successive_smoothing
+from smoothopt.optimizer import StepRule, sgd_run, step_kinds
 from smoothopt.penalty import Box
 from smoothopt.problems import PolygonProblem, make_problem
 from smoothopt.smoothing import _estimate
@@ -108,29 +109,41 @@ def test_embed_checks_width_and_gives_rows():
         poly.penalized_batch(np.zeros((2, 6)))
 
 
-STEPS = ["constant", "sphere-fixed", "sphere-decaying", "gaussian-fixed", "gaussian-decaying",
-         "gaussian-vanishing"]
+def old_schedule_values(step, width, t):
+    """``Schedule.values`` as it was, with its width rule as ``("fixed", h)`` or
+    ``("coupled", L, K)``: the step size, then the fixed width or ``L * rho / K``."""
+    rho = step.value(t)
+    if width[0] == "fixed":
+        return rho, width[1] if np.ndim(t) == 0 else np.full(np.shape(t), width[1])
+    return rho, width[1] * rho / width[2]
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(STEPS), coupled=st.booleans(), D=st.floats(1e-3, 1e3),
+@given(kind=st.sampled_from(step_kinds()), coupled=st.booleans(), D=st.floats(1e-3, 1e3),
        L=st.floats(1e-3, 1e3), C=st.floats(1e-3, 1e3), n=st.integers(1, 10_000),
        K=st.integers(1, 10_000), T=st.integers(1, 3000), h=st.floats(1e-6, 1e3))
-def test_schedule_arrays_equal_scalar_calls_bit_for_bit(kind, coupled, D, L, C, n, K, T, h):
-    if kind == "constant":
-        step = StepRule.constant(D)
-    else:
-        step = StepRule(kind, D=D, L=L, n=n, K=K, C=C, T=T if kind.endswith("-fixed") else None)
-    width = WidthRule.coupled(L=L, K=K) if coupled else WidthRule.fixed(h)
-    sched = Schedule(step, width)
+def test_plan_values_equal_old_schedule_bit_for_bit(kind, coupled, D, L, C, n, K, T, h):
+    step = StepRule(kind, rho=D, D=D, L=L, n=n, K=K, C=C, T=T)
+    plan = SmoothingPlan(widths=(None,) if coupled else (h,), steps=step, iterations=T,
+                         batch_size=K, coupled_L=L if coupled else None)
+    width = ("coupled", L, K) if coupled else ("fixed", float(h))
     t = np.arange(1, T + 1)
-    rho, hs = sched.values(t)
-    scalar = [sched.values(int(i)) for i in t]
+    rho, hs = plan.values(0, t)
+    scalar = [plan.values(0, int(i)) for i in t]
     assert rho.shape == hs.shape == (T,)
+    for i, got in [(t, (rho, hs)), *zip(t.tolist(), scalar)]:
+        want = old_schedule_values(step, width, i)
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        assert np.array_equal(bits(got[1]), bits(want[1]))
     assert np.array_equal(bits(rho), bits([r for r, _ in scalar]))
     assert np.array_equal(bits(hs), bits([w for _, w in scalar]))
     assert np.array_equal(bits(step.value(t)), bits(rho))
     assert all(np.ndim(v) == 0 for v in scalar[0])
+    if kind.endswith("-fixed"):  # a fixed rule's horizon still holds
+        with pytest.raises(ValueError, match=f"t = {T + 1}"):
+            plan.values(0, np.arange(1, T + 2))
+        with pytest.raises(ValueError, match=f"t = {T + 1}"):
+            plan.values(0, T + 1)
 
 
 def test_array_t_checked_like_scalar_t():
@@ -141,18 +154,24 @@ def test_array_t_checked_like_scalar_t():
         rule.value(np.arange(0, 5))
 
 
-@pytest.mark.parametrize("schedule, T", [
+def one_stage(step, T, width=0.1, coupled_L=None):
+    """A one-stage plan of ``T`` iterations at K = 1."""
+    return SmoothingPlan(widths=(width,), steps=step, iterations=T, batch_size=1,
+                         coupled_L=coupled_L)
+
+
+@pytest.mark.parametrize("plan, T", [
     # fixed rules with a horizon shorter than the run
-    (Schedule(StepRule("sphere-fixed", D=1, L=1, n=2, K=1, T=5), WidthRule.fixed(0.1)), 6),
-    (Schedule(StepRule("gaussian-fixed", D=1, L=1, n=2, K=1, T=5), WidthRule.fixed(0.1)), 40),
+    (one_stage(StepRule("sphere-fixed", D=1, L=1, n=2, K=1, T=5), 6), 6),
+    (one_stage(StepRule("gaussian-fixed", D=1, L=1, n=2, K=1, T=5), 40), 40),
     # a coupled width L * rho / K with an estimated L of 0
-    (Schedule(StepRule("sphere-decaying", D=1, L=1, n=2, K=1), WidthRule.coupled(L=0.0, K=1)), 3),
+    (one_stage(StepRule("sphere-decaying", D=1, L=1, n=2, K=1), 3, None, coupled_L=0.0), 3),
     # step sizes that overflow to inf or underflow to 0, and a coupled width that overflows
-    (Schedule(StepRule("sphere-decaying", D=1e300, L=1e-300, n=2, K=1), WidthRule.fixed(0.1)), 3),
-    (Schedule(StepRule("gaussian-decaying", D=1e-300, L=1e300, n=2, K=1), WidthRule.fixed(0.1)), 3),
-    (Schedule(StepRule("sphere-decaying", D=1e300, L=1, n=2, K=1), WidthRule.coupled(L=1e300, K=1)), 3),
+    (one_stage(StepRule("sphere-decaying", D=1e300, L=1e-300, n=2, K=1), 3), 3),
+    (one_stage(StepRule("gaussian-decaying", D=1e-300, L=1e300, n=2, K=1), 3), 3),
+    (one_stage(StepRule("sphere-decaying", D=1e300, L=1, n=2, K=1), 3, None, coupled_L=1e300), 3),
 ])
-def test_bad_schedule_fails_before_any_evaluation(schedule, T):
+def test_bad_schedule_fails_before_any_evaluation(plan, T):
     rows = []
 
     def f(Z):
@@ -160,8 +179,32 @@ def test_bad_schedule_fails_before_any_evaluation(schedule, T):
         return np.abs(Z).sum(axis=1)
 
     X = Box(-np.ones(2), np.ones(2))
+    assert plan.iterations == T
     with pytest.raises(ValueError):
-        sgd_run(f, X, np.zeros((2, 2)), schedule, "sphere", 1, T, [0, 1])
+        successive_smoothing(f, X, plan, "sphere", np.zeros((2, 2)), [0, 1])
+    assert rows == []
+
+
+@pytest.mark.parametrize("rho, h, match", [
+    (np.full((2, 3), 0.1), 0.1, r"shapes \(2, 3\) and \(\)"),
+    (np.empty(0), 0.1, r"shapes \(0,\) and \(\)"),
+    (np.full(3, 0.1), np.full(2, 0.1), r"shapes \(3,\) and \(2,\)"),
+    (np.full(3, 0.1), np.full((3, 1), 0.1), r"shapes \(3,\) and \(3, 1\)"),
+    (np.array([0.1, np.nan, 0.1]), 0.1, "step sizes"),
+    (np.array([0.1, 0.1, np.inf]), 0.1, "step sizes"),
+    (np.full(3, 0.1), np.array([0.1, 0.1, np.nan]), "width"),
+    (np.full(3, 0.1), np.inf, "width"),
+])
+def test_bad_arrays_fail_before_any_evaluation(rho, h, match):
+    rows = []
+
+    def f(Z):
+        rows.append(len(Z))
+        return np.abs(Z).sum(axis=1)
+
+    X = Box(-np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match=match):
+        sgd_run(f, X, np.zeros((2, 2)), rho, h, "sphere", 1, [0, 1])
     assert rows == []
 
 

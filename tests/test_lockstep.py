@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from smoothopt.continuation import SmoothingPlan, successive_smoothing
 from smoothopt.harness import validate
-from smoothopt.optimizer import Schedule, StepRule, WidthRule, sgd_run
+from smoothopt.optimizer import StepRule, sgd_run
 from smoothopt.penalty import Ball, Box
 from smoothopt.problems import PolygonProblem, calibration
 from smoothopt.smoothing import EvaluationError, Kernel, smoothed_value
@@ -51,11 +51,11 @@ def test_lockstep_sgd_run_equals_single_runs(S, n, K, kernel, shape, seed):
     F, X = problem(n, shape)
     starts = X.sample(S, np.random.default_rng(seed))
     seeds = [seed + s for s in range(S)]
-    sched = Schedule(StepRule.constant(0.4), WidthRule.fixed(0.3))
-    batch = sgd_run(F, X, starts, sched, kernel, K, 12, seeds)
+    rho = np.full(12, 0.4)
+    batch = sgd_run(F, X, starts, rho, 0.3, kernel, K, seeds)
     assert batch.best_value.shape == (S,)
     for s in range(S):
-        alone = sgd_run(F, X, starts[s], sched, kernel, K, 12, seeds[s])
+        alone = sgd_run(F, X, starts[s], rho, 0.3, kernel, K, seeds[s])
         assert_same_record(batch.run(s), alone)
 
 
@@ -145,9 +145,8 @@ def test_lockstep_error_names_run_stage_and_iteration(S, K, data):
 @pytest.mark.parametrize("rng", [[0, 1], 0, np.random.default_rng(0)])
 def test_lockstep_needs_one_rng_per_start(rng):
     X = Box(-np.ones(2), np.ones(2))
-    sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
     with pytest.raises(ValueError, match="one rng per start"):
-        sgd_run(lambda Z: np.zeros(len(Z)), X, np.zeros((3, 2)), sched, "sphere", 1, 1, rng)
+        sgd_run(lambda Z: np.zeros(len(Z)), X, np.zeros((3, 2)), [0.1], 0.1, "sphere", 1, rng)
 
 
 @pytest.mark.parametrize("rng", [0, np.random.default_rng(0)])
@@ -176,7 +175,6 @@ def trajectory_rate_gaps(*, n, K, h, D, C, checkpoints, seeds, eval_samples, mas
     f = calibration("l1-norm", n).batch
     X = Ball(np.zeros(n), 1.0)
     step = StepRule("sphere-decaying", D=D, L=math.sqrt(n), n=n, K=K, C=C)
-    schedule = Schedule(step, WidthRule.fixed(h))
     kernel = Kernel.sphere(h)
     root = np.random.SeedSequence(master_seed)
     ref, _ = smoothed_value(f, np.zeros(n), kernel, eval_samples,
@@ -188,7 +186,7 @@ def trajectory_rate_gaps(*, n, K, h, D, C, checkpoints, seeds, eval_samples, mas
         child = np.random.default_rng(ss)
         x1 = X.sample(1, child)[0]
         iterates = []
-        loop_sgd_run(f, X, x1, schedule, "sphere", K, T, child, iterates=iterates)
+        loop_sgd_run(f, X, x1, rho, h, "sphere", K, child, iterates=iterates)
         csum = np.cumsum(rho[:, None] * np.array(iterates)[:, 0], axis=0)
         rsum = np.cumsum(rho)
         for t in checkpoints:

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smoothopt.continuation import SmoothingPlan
 from smoothopt.penalty import Ball, Box, CustomSet
 from smoothopt.optimizer import (
     STEP_KINDS,
-    Schedule,
     StepRule,
-    WidthRule,
     estimate_lipschitz,
     sgd_run,
     rate_bound,
@@ -20,6 +19,11 @@ from smoothopt.smoothing import Kernel
 
 def l1_batch(X):
     return np.abs(np.asarray(X, dtype=float)).sum(axis=-1)
+
+
+def steps(rule, T):
+    """The step sizes ``rho_1..rho_T`` of ``rule``."""
+    return rule.value(np.arange(1, T + 1))
 
 
 class TestStepRules:
@@ -85,16 +89,17 @@ class TestStepRules:
 
     def test_gaussian_vanishing_worked_example(self):
         # D = L = 1, n = 1, K = 4, t = 1: rho = 1/sqrt(2), coupled h = rho/4
-        sched = Schedule(StepRule("gaussian-vanishing", D=1, L=1, n=1, K=4),
-                         WidthRule.coupled(L=1, K=4))
-        rho, h = sched.values(1)
+        step = StepRule("gaussian-vanishing", D=1, L=1, n=1, K=4)
+        plan = SmoothingPlan(widths=(None,), steps=step, iterations=1, batch_size=4, coupled_L=1)
+        rho, h = plan.values(0, 1)
         assert rho == pytest.approx(1 / math.sqrt(2))
         assert h == pytest.approx(rho / 4)
 
     def test_constant(self):
-        sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.25))
+        plan = SmoothingPlan(widths=(0.25,), steps=StepRule.constant(0.1), iterations=1,
+                             batch_size=1)
         for t in (1, 5, 1000):
-            assert sched.values(t) == (0.1, 0.25)
+            assert plan.values(0, t) == (0.1, 0.25)
 
     def test_fixed_rules_reject_t_beyond_horizon(self):
         rule = StepRule("sphere-fixed", D=1, L=1, n=2, K=1, C=1, T=10)
@@ -114,14 +119,11 @@ class TestStepRules:
             assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_coupled_width_tracks_step(self):
-        sched = Schedule(StepRule("sphere-decaying", D=1, L=2, n=3, K=4), WidthRule.coupled(L=2, K=4))
+        step = StepRule("sphere-decaying", D=1, L=2, n=3, K=4)
+        plan = SmoothingPlan(widths=(None,), steps=step, iterations=1, batch_size=4, coupled_L=2)
         for t in (1, 7, 50):
-            rho, h = sched.values(t)
+            rho, h = plan.values(0, t)
             assert h == pytest.approx(2 * rho / 4)
-
-    def test_coupled_needs_L_and_K(self):
-        with pytest.raises(ValueError, match="needs L and K"):
-            WidthRule("coupled", L=2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -131,7 +133,7 @@ class TestStepRules:
         with pytest.raises(ValueError):
             StepRule("sphere-fixed", D=1, L=1, n=1, K=1, T=None)
         with pytest.raises(ValueError):
-            WidthRule.fixed(0.0)
+            SmoothingPlan(widths=(0.0,), steps=StepRule.constant(0.1), iterations=1, batch_size=1)
 
 
 class TestTheoremBound:
@@ -203,8 +205,8 @@ class TestSgdRun:
     def test_constant_objective_keeps_iterates_fixed(self):
         X = Box(-np.ones(2), np.ones(2))
         x1 = np.array([0.3, -0.4])
-        sched = Schedule(StepRule.constant(0.5), WidthRule.fixed(0.1))
-        rec = sgd_run(lambda X: np.full(len(X), 7.0), X, x1, sched, "sphere", 2, 50, rng=0)
+        rec = sgd_run(lambda X: np.full(len(X), 7.0), X, x1, np.full(50, 0.5), 0.1, "sphere", 2,
+                      rng=0)
         np.testing.assert_array_equal(rec.x_last, x1)
         np.testing.assert_allclose(rec.plain_average, x1, atol=1e-15)
         np.testing.assert_allclose(rec.weighted_average, x1, atol=1e-15)
@@ -214,10 +216,9 @@ class TestSgdRun:
         X = Box(np.zeros(1), np.ones(1))
         x1 = np.array([0.5])
         rho, h = 2.0, 0.25
-        sched = Schedule(StepRule.constant(rho), WidthRule.fixed(h))
         f = lambda X: 3.0 * X[:, 0]
         rng = np.random.default_rng(1)
-        rec = sgd_run(f, X, x1, sched, "sphere", 1, 1, rng)
+        rec = sgd_run(f, X, x1, [rho], h, "sphere", 1, rng)
         # 1-D sphere direction: eta = 3 exactly regardless of the sign drawn
         np.testing.assert_allclose(rec.x_last, [0.0])  # clamp(0.5 - 2*3)
 
@@ -233,9 +234,9 @@ class TestSgdRun:
                 return p
 
         X = RecordingBall(np.zeros(4), 1.0)
-        sched = Schedule(StepRule("sphere-decaying", D=2, L=2, n=4, K=2), WidthRule.fixed(0.2))
+        rho = steps(StepRule("sphere-decaying", D=2, L=2, n=4, K=2), 300)
         rng = np.random.default_rng(2)
-        rec = sgd_run(l1_batch, X, X.sample(1, rng)[0], sched, "sphere", 2, 300, rng)
+        rec = sgd_run(l1_batch, X, X.sample(1, rng)[0], rho, 0.2, "sphere", 2, rng)
         # the start check projects x_1; then one projection per iteration
         # returns x_2..x_301, the last of them x_last
         assert len(returned) == 301
@@ -246,9 +247,8 @@ class TestSgdRun:
 
     def test_start_outside_x_rejected(self):
         X = Box(np.zeros(2), np.ones(2))
-        sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
         with pytest.raises(ValueError):
-            sgd_run(lambda X: np.zeros(len(X)), X, np.array([2.0, 0.0]), sched, "sphere", 1, 1,
+            sgd_run(lambda X: np.zeros(len(X)), X, np.array([2.0, 0.0]), [0.1], 0.1, "sphere", 1,
                     rng=0)
 
     @pytest.mark.parametrize("X", [
@@ -258,19 +258,17 @@ class TestSgdRun:
         ids=["box", "ball", "custom"])
     def test_start_is_checked_by_its_projection_residual(self, X):
         # a start may lie outside X by up to ITERATE_TOL = 1e-9, in every run
-        sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
         edge = np.array([1.0, 0.5])  # on the boundary of each set
         near, far = edge + [5e-10, 0.0], edge + [2e-9, 0.0]
-        sgd_run(l1_batch, X, np.array([near, edge]), sched, "sphere", 1, 1, [0, 1])
+        sgd_run(l1_batch, X, np.array([near, edge]), [0.1], 0.1, "sphere", 1, [0, 1])
         with pytest.raises(ValueError, match="projection set"):
-            sgd_run(l1_batch, X, np.array([edge, far]), sched, "sphere", 1, 1, [0, 1])
+            sgd_run(l1_batch, X, np.array([edge, far]), [0.1], 0.1, "sphere", 1, [0, 1])
 
     def test_kernel_object_rejected_naming_its_width(self):
-        # the schedule sets every width, so a Kernel's own would be ignored
+        # h sets every width, so a Kernel's own would be ignored
         X = Box(np.zeros(2), np.ones(2))
-        sched = Schedule(StepRule.constant(0.1), WidthRule.fixed(0.1))
         with pytest.raises(TypeError, match="h = 0.7"):
-            sgd_run(l1_batch, X, np.full(2, 0.5), sched, Kernel.gaussian(0.7), 1, 1, rng=0)
+            sgd_run(l1_batch, X, np.full(2, 0.5), [0.1], 0.1, Kernel.gaussian(0.7), 1, rng=0)
 
     def test_evaluation_accounting(self):
         calls = 0
@@ -281,16 +279,15 @@ class TestSgdRun:
             return l1_batch(Z)
 
         X = Box(-np.ones(2), np.ones(2))
-        sched = Schedule(StepRule.constant(0.05), WidthRule.fixed(0.1))
-        rec = sgd_run(f, X, np.zeros(2), sched, "gaussian", 3, 17, rng=3)
+        rec = sgd_run(f, X, np.zeros(2), np.full(17, 0.05), 0.1, "gaussian", 3, rng=3)
         assert rec.evaluations == 2 * 3 * 17
         assert calls == rec.evaluations
 
     def test_seed_determinism(self):
         X = Ball(np.zeros(3), 1.0)
-        sched = Schedule(StepRule("gaussian-decaying", D=2, L=2, n=3, K=2), WidthRule.fixed(0.1))
-        a = sgd_run(l1_batch, X, np.zeros(3), sched, "gaussian", 2, 100, rng=77)
-        b = sgd_run(l1_batch, X, np.zeros(3), sched, "gaussian", 2, 100, rng=77)
+        rho = steps(StepRule("gaussian-decaying", D=2, L=2, n=3, K=2), 100)
+        a = sgd_run(l1_batch, X, np.zeros(3), rho, 0.1, "gaussian", 2, rng=77)
+        b = sgd_run(l1_batch, X, np.zeros(3), rho, 0.1, "gaussian", 2, rng=77)
         np.testing.assert_array_equal(a.x_last, b.x_last)
         np.testing.assert_array_equal(a.weighted_average, b.weighted_average)
         np.testing.assert_array_equal(a.best_point, b.best_point)
@@ -299,14 +296,13 @@ class TestSgdRun:
 
     def test_constant_steps_make_weighted_equal_plain_average(self):
         X = Box(-np.ones(2), np.ones(2))
-        sched = Schedule(StepRule.constant(0.02), WidthRule.fixed(0.1))
-        rec = sgd_run(l1_batch, X, np.array([0.5, -0.5]), sched, "sphere", 1, 200, rng=4)
+        rec = sgd_run(l1_batch, X, np.array([0.5, -0.5]), np.full(200, 0.02), 0.1, "sphere", 1,
+                      rng=4)
         np.testing.assert_allclose(rec.weighted_average, rec.plain_average,
                                    rtol=0, atol=1e-12)
 
     def test_best_value_is_min_over_probes(self):
         X = Box(-np.ones(2), np.ones(2))
-        sched = Schedule(StepRule.constant(0.05), WidthRule.fixed(0.2))
         seen = []
 
         def f(Z):
@@ -314,22 +310,20 @@ class TestSgdRun:
             seen.extend(v)
             return v
 
-        rec = sgd_run(f, X, np.array([0.8, 0.8]), sched, "sphere", 2, 100, rng=5)
+        rec = sgd_run(f, X, np.array([0.8, 0.8]), np.full(100, 0.05), 0.2, "sphere", 2, rng=5)
         assert rec.best_value == min(seen)
 
     def test_descends_on_l1_ball(self):
         n, K, T = 10, 8, 3000
         X = Ball(np.zeros(n), 1.0)
-        sched = Schedule(StepRule("sphere-decaying", D=2.0, L=math.sqrt(n), n=n, K=K, C=1.0),
-                         WidthRule.fixed(0.1))
+        rho = steps(StepRule("sphere-decaying", D=2.0, L=math.sqrt(n), n=n, K=K, C=1.0), T)
         rng = np.random.default_rng(6)
         x1 = X.sample(1, rng)[0]
-        rec = sgd_run(l1_batch, X, x1, sched, "sphere", K, T, rng)
+        rec = sgd_run(l1_batch, X, x1, rho, 0.1, "sphere", K, rng)
         assert l1_batch(rec.weighted_average) <= 0.5  # true minimum is 0
 
     def test_evaluation_error_carries_iteration(self):
         X = Box(-np.ones(1), np.ones(1))
-        sched = Schedule(StepRule.constant(0.5), WidthRule.fixed(0.3))
         calls = 0
 
         def f(Z):
@@ -340,7 +334,7 @@ class TestSgdRun:
 
         from smoothopt.smoothing import EvaluationError
         with pytest.raises(EvaluationError) as err:
-            sgd_run(f, X, np.zeros(1), sched, "gaussian", 2, 100, rng=8)
+            sgd_run(f, X, np.zeros(1), np.full(100, 0.5), 0.3, "gaussian", 2, rng=8)
         assert err.value.iteration == 3  # 4 rows per iteration, the 11th row fails
 
 
@@ -380,6 +374,18 @@ class TestEstimateLipschitz:
         assert len(seen) == 10  # plus points first, then minus points
         assert np.isnan(err.value.value)
         np.testing.assert_array_equal(err.value.point, seen[5])
+
+    def test_overflow_raises_evaluation_error_not_a_warning(self):
+        # the polygon's penalty overflows to inf at this scale's probes
+        import warnings
+        from smoothopt.problems import make_problem
+        from smoothopt.smoothing import EvaluationError
+
+        problem = make_problem("polygon", n=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-finite"):
+                estimate_lipschitz(problem.objective_batch, problem.domain, 1e200, rng=0)
 
     def test_equals_separate_plus_and_minus_evaluation(self):
         from smoothopt.problems import make_problem

@@ -219,6 +219,12 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_problem("polygon")
 
+    @pytest.mark.parametrize("name", ["two-well-1d", "lsc-step-1d"])
+    def test_one_d_problem_rejects_an_n_it_would_ignore(self, name):
+        assert make_problem(name).dimension == make_problem(name, n=1).dimension == 1
+        with pytest.raises(ValueError, match="1-dimensional, got n = 5"):
+            make_problem(name, n=5)
+
     def test_calibration_instances(self):
         p = make_problem("l1-norm", n=2)
         assert p.dimension == 2
@@ -263,7 +269,7 @@ def bits(x) -> bytes:
 @given(name=st.sampled_from(problem_names()), n=st.integers(1, 12),
        seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([0.5, 1.0, 3.0, 1e3]))
 def test_objective_is_the_one_row_call_of_objective_batch(name, n, seed, scale):
-    n = max(n, 3) if name == "polygon" else n
+    n = max(n, 3) if name == "polygon" else calibration(name, n).dimension
     p = make_problem(name, n=n)
     reference = reference_objective(name, n)
     for v in one_row_points(p.dimension, seed, scale):
