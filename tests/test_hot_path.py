@@ -160,18 +160,18 @@ def one_stage(step, T, width=0.1, coupled_L=None):
                          coupled_L=coupled_L)
 
 
-@pytest.mark.parametrize("plan, T", [
+@pytest.mark.parametrize("plan", [
     # fixed rules with a horizon shorter than the run
-    (one_stage(StepRule("sphere-fixed", D=1, L=1, n=2, K=1, T=5), 6), 6),
-    (one_stage(StepRule("gaussian-fixed", D=1, L=1, n=2, K=1, T=5), 40), 40),
+    one_stage(StepRule("sphere-fixed", D=1, L=1, n=2, K=1, T=5), 6),
+    one_stage(StepRule("gaussian-fixed", D=1, L=1, n=2, K=1, T=5), 40),
     # a coupled width L * rho / K with an estimated L of 0
-    (one_stage(StepRule("sphere-decaying", D=1, L=1, n=2, K=1), 3, None, coupled_L=0.0), 3),
+    one_stage(StepRule("sphere-decaying", D=1, L=1, n=2, K=1), 3, None, coupled_L=0.0),
     # step sizes that overflow to inf or underflow to 0, and a coupled width that overflows
-    (one_stage(StepRule("sphere-decaying", D=1e300, L=1e-300, n=2, K=1), 3), 3),
-    (one_stage(StepRule("gaussian-decaying", D=1e-300, L=1e300, n=2, K=1), 3), 3),
-    (one_stage(StepRule("sphere-decaying", D=1e300, L=1, n=2, K=1), 3, None, coupled_L=1e300), 3),
+    one_stage(StepRule("sphere-decaying", D=1e300, L=1e-300, n=2, K=1), 3),
+    one_stage(StepRule("gaussian-decaying", D=1e-300, L=1e300, n=2, K=1), 3),
+    one_stage(StepRule("sphere-decaying", D=1e300, L=1, n=2, K=1), 3, None, coupled_L=1e300),
 ])
-def test_bad_schedule_fails_before_any_evaluation(plan, T):
+def test_bad_schedule_fails_before_any_evaluation(plan):
     rows = []
 
     def f(Z):
@@ -179,7 +179,6 @@ def test_bad_schedule_fails_before_any_evaluation(plan, T):
         return np.abs(Z).sum(axis=1)
 
     X = Box(-np.ones(2), np.ones(2))
-    assert plan.iterations == T
     with pytest.raises(ValueError):
         successive_smoothing(f, X, plan, "sphere", np.zeros((2, 2)), [0, 1])
     assert rows == []
